@@ -1,10 +1,10 @@
 //! E5: wall-clock comparison — symbolic check vs explicit-state search
-//! (naive, sleep-set-reduced, MCC-model, parallel) as races widen.
+//! (naive, sleep-set-reduced) as races widen.
 //!
 //! Run: `cargo run --release -p bench --bin exp_dpor_compare`
 
 use explicit::sleepset::SleepConfig;
-use explicit::{ExploreConfig, GraphExplorer, ParallelExplorer, SleepSetExplorer};
+use explicit::{ExploreConfig, GraphExplorer, SleepSetExplorer};
 use mcapi::types::DeliveryModel;
 use std::time::Instant;
 use symbolic::checker::{check_program, CheckConfig, MatchGen};
@@ -23,7 +23,6 @@ fn main() {
             "naive execs",
             "stateless + sleep sets",
             "sleep execs",
-            "parallel graph (4 workers)",
         ])
     );
 
@@ -64,11 +63,6 @@ fn main() {
         let sleep = SleepSetExplorer::new(&program, SleepConfig::default()).explore();
         let sleep_time = t.elapsed();
 
-        let t = Instant::now();
-        let par = ParallelExplorer::new(&program, cfg, 4).explore();
-        let par_time = t.elapsed();
-        assert_eq!(par.matchings.len(), graph.matchings.len());
-
         println!(
             "{}",
             bench::row(&[
@@ -80,7 +74,6 @@ fn main() {
                 naive.complete_terminals.to_string(),
                 format!("{sleep_time:?}"),
                 sleep.complete_terminals.to_string(),
-                format!("{par_time:?}"),
             ])
         );
     }

@@ -22,7 +22,9 @@
 //! 3. [`runner::run_portfolio`] executes the batch on a
 //!    [`pool::WorkStealingPool`] in either [`runner::Mode::Race`]
 //!    (cancel on first violation) or [`runner::Mode::Sweep`]
-//!    (run everything).
+//!    (run everything). Every scenario runs through [`runner::run_batch`],
+//!    the one dispatch path: a work item is a grid point sharing one
+//!    session pool, or a single scenario when session reuse is off.
 //! 4. The [`report::PortfolioReport`] aggregates verdicts, refinement
 //!    counts and solver statistics, as JSON or a table.
 //!
@@ -58,7 +60,7 @@ pub mod trend;
 pub use report::{PortfolioReport, ScenarioEvent, ScenarioOutcome, VerdictKind};
 pub use runner::{
     fill_explicit_outcome, fill_symbolic_outcome, run_batch, run_portfolio, run_portfolio_traced,
-    run_scenario, Mode, PortfolioConfig,
+    Mode, PortfolioConfig,
 };
 pub use scenario::{
     batch_by_grid_point, corpus_files, corpus_scenarios, corpus_specs, cross, Engine, GridBatch,
@@ -73,7 +75,7 @@ pub mod prelude {
     pub use crate::report::{PortfolioReport, ScenarioOutcome, VerdictKind};
     pub use crate::runner::{
         fill_explicit_outcome, fill_symbolic_outcome, run_batch, run_portfolio,
-        run_portfolio_traced, run_scenario, Mode, PortfolioConfig,
+        run_portfolio_traced, Mode, PortfolioConfig,
     };
     pub use crate::scenario::{
         batch_by_grid_point, corpus_files, corpus_scenarios, corpus_specs, cross, Engine,

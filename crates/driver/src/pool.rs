@@ -120,7 +120,11 @@ impl WorkStealingPool {
                 scope.spawn(move || {
                     let _lane = tracer.map(|t| t.install(&format!("worker-{me}")));
                     loop {
-                        let job = deques[me].lock().unwrap().pop_front().or_else(|| {
+                        // Release the own-deque lock before stealing: two
+                        // idle workers each holding their own lock while
+                        // locking the other's would deadlock.
+                        let own = deques[me].lock().unwrap().pop_front();
+                        let job = own.or_else(|| {
                             // Own deque empty: steal from the back of the
                             // first non-empty victim.
                             (0..deques.len())

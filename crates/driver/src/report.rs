@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Collapsed verdict of one scenario (engine-agnostic).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
 pub enum VerdictKind {
     /// No reachable assertion violation (within the engine's soundness
     /// envelope — the trace's branch outcomes for the symbolic engine).
@@ -15,6 +15,7 @@ pub enum VerdictKind {
     /// Budget exhausted or otherwise inconclusive.
     Unknown,
     /// Never ran: a race-mode portfolio was cancelled first.
+    #[default]
     Skipped,
 }
 
@@ -31,7 +32,7 @@ impl fmt::Display for VerdictKind {
 }
 
 /// Everything recorded about one finished (or skipped) scenario.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct ScenarioOutcome {
     /// Unique scenario name (`point/delivery/engine`).
     pub scenario: String,
@@ -124,32 +125,8 @@ impl ScenarioOutcome {
             family,
             delivery,
             engine,
-            verdict: VerdictKind::Skipped,
             detail: "cancelled by race mode".into(),
-            statically_decided: false,
-            lint_findings: 0,
-            wall_ms: 0,
-            refinements: 0,
-            sat_vars: 0,
-            sat_clauses: 0,
-            match_pairs: 0,
-            matchgen_states: 0,
-            states: 0,
-            transitions: 0,
-            reused_encoding: false,
-            sat_checks: 0,
-            conflicts: 0,
-            propagations: 0,
-            paths_explored: 0,
-            paths_pruned: 0,
-            directed_transitions: 0,
-            canonical_skipped: 0,
-            encode_us: 0,
-            solve_us: 0,
-            schedule_us: 0,
-            enumerate_us: 0,
-            solver: smt::Stats::default(),
-            introspect: smt::Introspect::default(),
+            ..ScenarioOutcome::default()
         }
     }
 }

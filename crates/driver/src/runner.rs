@@ -7,10 +7,8 @@ use crate::scenario::{batch_by_grid_point, Engine, GridBatch, Scenario};
 use explicit::{ExploreConfig, GraphExplorer};
 use mcapi::program::Program;
 use std::time::Instant;
-use symbolic::checker::{
-    check_program, check_program_pooled, CheckConfig, CheckReport, MatchGen, Verdict,
-};
-use symbolic::paths::{check_program_paths_pooled, PathsConfig};
+use symbolic::checker::{check_source, CheckConfig, CheckReport, MatchGen, SingleTrace, Verdict};
+use symbolic::paths::{enumeration_failed, PathEnumerator, PathsConfig};
 use symbolic::session::SessionPool;
 
 /// What happens after the first confirmed violation.
@@ -52,8 +50,9 @@ pub struct PortfolioConfig {
     /// Batch scenarios by grid point and share one incremental SMT
     /// encoding per (trace, match pairs) across delivery models, match
     /// generators and sibling control-flow paths (see
-    /// [`symbolic::session::CheckSession`]). Disable to re-encode every
-    /// scenario from scratch, PR-1 style (the CLI's `--no-session-reuse`).
+    /// [`symbolic::session::CheckSession`]). Disable to run every
+    /// scenario as its own batch on a [`SessionPool::one_shot`] pool, which
+    /// re-encodes every trace from scratch (the CLI's `--no-session-reuse`).
     pub session_reuse: bool,
     /// Path budget for the `symbolic-paths` engine: exceeding it degrades
     /// the scenario verdict to unknown, never to a silent safe.
@@ -115,7 +114,6 @@ impl PortfolioConfig {
         PathsConfig {
             check: self.check_config(scenario),
             max_paths: self.max_paths,
-            session_reuse: self.session_reuse,
             canonical: self.canonical,
             static_facts: self.static_triage,
             ..PathsConfig::default()
@@ -262,61 +260,34 @@ fn run_explicit(program: &Program, scenario: &Scenario, cfg: &PortfolioConfig) -
     out
 }
 
-/// Run one scenario to an outcome on the calling thread, building its
-/// program and (for symbolic engines) a fresh encoding — the no-reuse
-/// path.
-pub fn run_scenario(scenario: &Scenario, cfg: &PortfolioConfig) -> ScenarioOutcome {
-    let start = Instant::now();
-    let mut span = trace::span_dyn(scenario.name());
-    let program = scenario.spec.build();
-    let triage = triage_point(&program, cfg);
-    let mut out = match triage.as_ref().and_then(|t| t.settled.clone()) {
-        Some((verdict, detail)) => {
-            let mut out = outcome_shell(scenario);
-            out.verdict = verdict;
-            out.detail = detail;
-            out.statically_decided = true;
-            out
-        }
-        None => match scenario.engine {
-            Engine::Symbolic(_) => {
-                let report = check_program(&program, &cfg.check_config(scenario));
-                symbolic_outcome(scenario, report, false)
-            }
-            Engine::SymbolicPaths => {
-                let mut pool = SessionPool::new();
-                let (report, reused) =
-                    check_program_paths_pooled(&mut pool, &program, &cfg.paths_config(scenario));
-                symbolic_outcome(scenario, report, reused)
-            }
-            Engine::Explicit => run_explicit(&program, scenario, cfg),
-        },
-    };
-    if let Some(t) = &triage {
-        out.lint_findings = t.lint_findings;
-    }
-    out.wall_ms = start.elapsed().as_millis() as u64;
-    span.arg("sat_checks", out.sat_checks as u64)
-        .arg("conflicts", out.conflicts)
-        .arg("states", out.states as u64);
-    out
-}
-
-/// Run one grid point's scenarios back to back: the program is built once
-/// and every symbolic scenario goes through a shared [`SessionPool`], so
-/// scenarios whose (trace, match pairs) coincide solve incrementally on
-/// one encoding instead of re-encoding from scratch.
+/// Run one grid point's scenarios back to back — the driver's only
+/// dispatch path. The program is built and triaged once, and every
+/// symbolic scenario goes through one [`SessionPool`]: with
+/// [`PortfolioConfig::session_reuse`] scenarios whose (trace, match pairs)
+/// coincide solve incrementally on one encoding, without it each trace is
+/// encoded from scratch ([`SessionPool::one_shot`]).
 pub fn run_batch(
     batch: &GridBatch,
     cfg: &PortfolioConfig,
     cancel: &CancelToken,
 ) -> Vec<(usize, ScenarioOutcome)> {
+    if cancel.is_cancelled() {
+        return batch
+            .items
+            .iter()
+            .map(|(idx, scenario)| (*idx, outcome_shell(scenario)))
+            .collect();
+    }
     let mut batch_span = trace::span_dyn(format!("batch:{}", batch.spec.family()));
     let program = batch.spec.build();
     // One triage pass per grid point: every engine scenario at the point
     // shares the same program, so a settled verdict settles them all.
     let triage = triage_point(&program, cfg);
-    let mut pool = SessionPool::new();
+    let mut pool = if cfg.session_reuse {
+        SessionPool::new()
+    } else {
+        SessionPool::one_shot()
+    };
     let mut out = Vec::with_capacity(batch.items.len());
     for (idx, scenario) in &batch.items {
         if cancel.is_cancelled() {
@@ -335,18 +306,19 @@ pub fn run_batch(
             }
             None => match scenario.engine {
                 Engine::Symbolic(_) => {
-                    let (report, reused) =
-                        check_program_pooled(&mut pool, &program, &cfg.check_config(scenario));
+                    let check = cfg.check_config(scenario);
+                    let mut source = SingleTrace::new(&program, &check);
+                    let (report, reused) = check_source(&mut pool, &program, &mut source, &check);
                     symbolic_outcome(scenario, report, reused)
                 }
                 Engine::SymbolicPaths => {
                     // The batch pool is shared, so path traces attach as
                     // siblings across delivery models of one grid point too.
-                    let (report, reused) = check_program_paths_pooled(
-                        &mut pool,
-                        &program,
-                        &cfg.paths_config(scenario),
-                    );
+                    let pcfg = cfg.paths_config(scenario);
+                    let (report, reused) = match PathEnumerator::new(&program, &pcfg) {
+                        Ok(mut paths) => check_source(&mut pool, &program, &mut paths, &pcfg.check),
+                        Err(why) => (enumeration_failed(&program, &pcfg, &why), false),
+                    };
                     symbolic_outcome(scenario, report, reused)
                 }
                 Engine::Explicit => run_explicit(&program, scenario, cfg),
@@ -409,46 +381,35 @@ pub fn run_portfolio_traced(
     let start = Instant::now();
     let pool = WorkStealingPool::new(cfg.threads);
     let cancel = CancelToken::new();
-    let outcomes = if cfg.session_reuse {
-        // Grid-point batches are the pool's work items: each batch builds
-        // its program once and shares encodings through a session pool.
-        let batches = batch_by_grid_point(scenarios);
-        let per_batch = pool.run_traced(
-            batches,
-            &cancel,
-            tracer,
-            |_bidx, batch: GridBatch, cancel| run_batch(&batch, cfg, cancel),
-        );
-        let mut outcomes: Vec<Option<ScenarioOutcome>> = vec![None; scenarios.len()];
-        for (idx, o) in per_batch.into_iter().flatten() {
-            outcomes[idx] = Some(o);
-        }
-        outcomes
-            .into_iter()
-            .map(|o| o.expect("every scenario lands in exactly one batch"))
-            .collect()
+    // Batches are the pool's work items. With session reuse a batch is a
+    // grid point (its program built once, encodings shared through one
+    // session pool); without it every scenario is its own batch.
+    let batches = if cfg.session_reuse {
+        batch_by_grid_point(scenarios)
     } else {
-        pool.run_traced(
-            scenarios.to_vec(),
-            &cancel,
-            tracer,
-            |_idx, scenario: Scenario, cancel| {
-                if cancel.is_cancelled() {
-                    return ScenarioOutcome::skipped(
-                        scenario.name(),
-                        scenario.spec.family(),
-                        scenario.delivery.to_string(),
-                        scenario.engine.tag().to_string(),
-                    );
-                }
-                let outcome = run_scenario(&scenario, cfg);
-                if cfg.mode == Mode::Race && outcome.verdict == VerdictKind::Violation {
-                    cancel.cancel();
-                }
-                outcome
-            },
-        )
+        scenarios
+            .iter()
+            .enumerate()
+            .map(|(i, s)| GridBatch {
+                spec: s.spec.clone(),
+                items: vec![(i, s.clone())],
+            })
+            .collect()
     };
+    let per_batch = pool.run_traced(
+        batches,
+        &cancel,
+        tracer,
+        |_bidx, batch: GridBatch, cancel| run_batch(&batch, cfg, cancel),
+    );
+    let mut outcomes: Vec<Option<ScenarioOutcome>> = vec![None; scenarios.len()];
+    for (idx, o) in per_batch.into_iter().flatten() {
+        outcomes[idx] = Some(o);
+    }
+    let outcomes = outcomes
+        .into_iter()
+        .map(|o| o.expect("every scenario lands in exactly one batch"))
+        .collect();
     PortfolioReport::from_outcomes(
         cfg.mode.tag(),
         pool.workers(),

@@ -4,7 +4,9 @@
 
 use driver::prelude::*;
 use mcapi::types::DeliveryModel;
-use symbolic::checker::{check_program, Verdict};
+use symbolic::checker::{check_source, CheckReport, SingleTrace, Verdict};
+use symbolic::paths::PathEnumerator;
+use symbolic::session::SessionPool;
 
 fn verdict_kind(v: &Verdict) -> VerdictKind {
     match v {
@@ -14,18 +16,40 @@ fn verdict_kind(v: &Verdict) -> VerdictKind {
     }
 }
 
+/// The sequential check of one symbolic scenario, each trace encoded from
+/// scratch: what the portfolio must reproduce without session reuse.
+fn one_shot_check(scenario: &Scenario, cfg: &PortfolioConfig) -> (CheckReport, bool) {
+    let program = scenario.spec.build();
+    let mut pool = SessionPool::one_shot();
+    match scenario.engine {
+        Engine::Symbolic(_) => {
+            let check = cfg.check_config(scenario);
+            let mut source = SingleTrace::new(&program, &check);
+            check_source(&mut pool, &program, &mut source, &check)
+        }
+        Engine::SymbolicPaths => {
+            let pcfg = cfg.paths_config(scenario);
+            let mut paths = PathEnumerator::new(&program, &pcfg).expect("grid paths enumerate");
+            check_source(&mut pool, &program, &mut paths, &pcfg.check)
+        }
+        Engine::Explicit => unreachable!("symbolic scenarios only"),
+    }
+}
+
 #[test]
-fn portfolio_agrees_with_sequential_checker_on_fig1_grid() {
-    // fig1 and fig1-assert under every delivery model and both symbolic
-    // engines: 12 scenarios, run on 4 workers. Session reuse is off so
-    // every scenario runs the exact single-shot pipeline the sequential
-    // checker runs (refinement counts compare one-to-one).
+fn one_shot_portfolio_matches_check_source_counter_for_counter() {
+    // Every symbolic and paths scenario of the scale-1 grid, run on 4
+    // workers with session reuse off, must reproduce the sequential
+    // one-shot check exactly: verdict and every deterministic counter.
+    // The driver adds parallelism and aggregation, never a different
+    // answer or a different amount of work.
     let scenarios = cross(
-        &[FamilySpec::Fig1, FamilySpec::Fig1Assert],
+        &default_grid(1),
         &DeliveryModel::ALL,
         &[
             Engine::Symbolic(symbolic::checker::MatchGen::Precise),
             Engine::Symbolic(symbolic::checker::MatchGen::OverApprox),
+            Engine::SymbolicPaths,
         ],
     );
     let cfg = PortfolioConfig {
@@ -38,21 +62,49 @@ fn portfolio_agrees_with_sequential_checker_on_fig1_grid() {
     assert_eq!(report.outcomes.len(), scenarios.len());
     assert_eq!(report.skipped, 0, "sweep mode never skips");
 
-    for (scenario, outcome) in scenarios.iter().zip(&report.outcomes) {
-        let sequential = check_program(&scenario.spec.build(), &cfg.check_config(scenario));
+    let mut engine_checked = 0;
+    for (scenario, o) in scenarios.iter().zip(&report.outcomes) {
+        if o.statically_decided {
+            continue; // triage settled it: no engine ran
+        }
+        engine_checked += 1;
+        let (r, reused) = one_shot_check(scenario, &cfg);
+        let name = scenario.name();
+        assert_eq!(o.verdict, verdict_kind(&r.verdict), "verdict on {name}");
+        assert_eq!(o.refinements, r.refinements, "refinements on {name}");
+        assert_eq!(o.sat_checks, r.sat_checks, "sat_checks on {name}");
+        assert_eq!(o.conflicts, r.solver_stats.conflicts, "conflicts on {name}");
         assert_eq!(
-            outcome.verdict,
-            verdict_kind(&sequential.verdict),
-            "portfolio and sequential checker disagree on {}",
-            scenario.name(),
+            o.propagations, r.solver_stats.propagations,
+            "propagations on {name}"
+        );
+        assert_eq!(o.sat_vars, r.encode_stats.sat_vars, "sat_vars on {name}");
+        assert_eq!(
+            o.matchgen_states, r.matchgen_states,
+            "matchgen_states on {name}"
+        );
+        assert_eq!(o.match_pairs, r.matchgen_pairs, "match_pairs on {name}");
+        assert_eq!(
+            o.paths_explored, r.paths_explored,
+            "paths_explored on {name}"
+        );
+        assert_eq!(o.paths_pruned, r.paths_pruned, "paths_pruned on {name}");
+        assert_eq!(
+            o.directed_transitions, r.directed_transitions,
+            "directed_transitions on {name}"
         );
         assert_eq!(
-            outcome.refinements,
-            sequential.refinements,
-            "refinement counts diverge on {}",
-            scenario.name(),
+            o.canonical_skipped, r.canonical_skipped,
+            "canonical_skipped on {name}"
         );
+        assert_eq!(o.reused_encoding, reused, "reused_encoding on {name}");
+        assert!(!reused, "{name}: one-shot pools never reuse");
     }
+    assert!(
+        engine_checked > scenarios.len() / 2,
+        "most grid scenarios must reach an engine ({engine_checked} of {})",
+        scenarios.len()
+    );
 }
 
 #[test]

@@ -21,17 +21,13 @@
 //! * [`sleepset::SleepSetExplorer`] — stateless depth-first execution
 //!   enumeration with sleep-set pruning (Godefroid), the classic
 //!   partial-order-reduction baseline.
-//! * [`parallel::ParallelExplorer`] — a crossbeam work-sharing version of
-//!   the graph search for larger state spaces.
 
 pub mod explorer;
 pub mod mcc;
-pub mod parallel;
 pub mod sleepset;
 pub mod stats;
 
 pub use explorer::{ExploreConfig, GraphExplorer};
 pub use mcc::{ground_truth_check, mcc_check};
-pub use parallel::ParallelExplorer;
 pub use sleepset::SleepSetExplorer;
 pub use stats::{ExploreResult, Matching, RecvKey};

@@ -1,8 +1,8 @@
 //! Property tests: all explorers agree with each other on random
-//! programs — the sequential graph search is the reference.
+//! programs — the graph search is the reference.
 
 use explicit::sleepset::SleepConfig;
-use explicit::{ExploreConfig, GraphExplorer, ParallelExplorer, SleepSetExplorer};
+use explicit::{ExploreConfig, GraphExplorer, SleepSetExplorer};
 use mcapi::builder::ProgramBuilder;
 use mcapi::program::Program;
 use mcapi::types::DeliveryModel;
@@ -46,20 +46,6 @@ fn model_strategy() -> impl Strategy<Value = DeliveryModel> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Parallel BFS finds exactly the sequential reachable set, terminal
-    /// counts, and matchings.
-    #[test]
-    fn parallel_equals_sequential(p in arb_program(), model in model_strategy(), workers in 1usize..6) {
-        let cfg = ExploreConfig::with_model(model);
-        let seq = GraphExplorer::new(&p, cfg).explore();
-        let par = ParallelExplorer::new(&p, cfg, workers).explore();
-        prop_assert_eq!(seq.states, par.states);
-        prop_assert_eq!(seq.complete_terminals, par.complete_terminals);
-        prop_assert_eq!(seq.deadlocks, par.deadlocks);
-        prop_assert_eq!(&seq.matchings, &par.matchings);
-        prop_assert_eq!(seq.violations.len(), par.violations.len());
-    }
 
     /// Sleep-set pruning preserves matchings, violations and deadlock
     /// existence versus the naive stateless enumeration.

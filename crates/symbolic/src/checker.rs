@@ -217,6 +217,27 @@ pub struct CheckReport {
 }
 
 impl CheckReport {
+    /// A report of `verdict` on `trace` with every counter zero; each
+    /// layer fills in what it measured.
+    pub fn new(verdict: Verdict, trace: Trace) -> CheckReport {
+        CheckReport {
+            verdict,
+            refinements: 0,
+            encode_stats: EncodeStats::default(),
+            matchgen_states: 0,
+            matchgen_pairs: 0,
+            sat_checks: 0,
+            solver_stats: smt::Stats::default(),
+            solver_introspect: smt::Introspect::default(),
+            paths_explored: 0,
+            paths_pruned: 0,
+            directed_transitions: 0,
+            canonical_skipped: 0,
+            timings: PhaseTimings::default(),
+            trace,
+        }
+    }
+
     /// Report this check's counters into `reg` under the symbolic layer's
     /// stable metric names (`mcapi_symbolic_*`), plus the solver delta via
     /// [`smt::Stats::record`], tagged with `labels`.
@@ -313,9 +334,8 @@ pub fn generate_trace(program: &Program, cfg: &CheckConfig) -> Trace {
 ///
 /// The paper's engine analyses exactly **one** trace ([`SingleTrace`]);
 /// the path-exploration layer (`symbolic::paths::PathEnumerator`)
-/// enumerates one trace per feasible control-flow path. `check_program`
-/// and `symbolic::paths::check_program_paths` are the same loop over
-/// different sources.
+/// enumerates one trace per feasible control-flow path. [`check_source`]
+/// is the one loop that checks either.
 pub trait TraceSource {
     /// The next trace to analyse, or `None` when the source is exhausted.
     fn next_trace(&mut self) -> Option<SourcedTrace>;
@@ -343,6 +363,20 @@ pub trait TraceSource {
     fn canonical_skipped(&self) -> u64 {
         0
     }
+    /// µs spent enumerating and pruning the source's path space.
+    fn enumerate_us(&self) -> u64 {
+        0
+    }
+    /// µs spent in directed-scheduler searches realising paths.
+    fn schedule_us(&self) -> u64 {
+        0
+    }
+    /// An absolute deadline the source already started, shared by every
+    /// trace's query so one budget spans the whole source. `None` lets
+    /// each query start [`CheckConfig::budget_ms`] on its own.
+    fn deadline(&self) -> Option<Instant> {
+        None
+    }
 }
 
 /// One trace produced by a [`TraceSource`], with its path provenance.
@@ -354,8 +388,8 @@ pub struct SourcedTrace {
     pub branch_path: Option<String>,
 }
 
-/// The classic source: one random complete trace, as
-/// [`generate_trace`] has always produced it.
+/// The classic source: one trace, by default a random complete one as
+/// [`generate_trace`] produces it.
 pub struct SingleTrace {
     trace: Option<Trace>,
     yielded: usize,
@@ -364,8 +398,13 @@ pub struct SingleTrace {
 impl SingleTrace {
     /// Generate the single trace for `program` under `cfg`.
     pub fn new(program: &Program, cfg: &CheckConfig) -> SingleTrace {
+        SingleTrace::of(generate_trace(program, cfg))
+    }
+
+    /// A source yielding exactly `trace` (e.g. one recorded on a target).
+    pub fn of(trace: Trace) -> SingleTrace {
         SingleTrace {
-            trace: Some(generate_trace(program, cfg)),
+            trace: Some(trace),
             yielded: 0,
         }
     }
@@ -390,7 +429,8 @@ impl TraceSource for SingleTrace {
     }
 }
 
-/// Check a program end to end: generate a trace, then [`check_trace`].
+/// Check a program end to end: generate a trace, then run the paper's
+/// pipeline on it ([`check_source`] over a [`SingleTrace`]).
 ///
 /// ```
 /// use mcapi::builder::ProgramBuilder;
@@ -414,113 +454,184 @@ impl TraceSource for SingleTrace {
 /// assert!(matches!(report.verdict, Verdict::Violation(_)));
 /// ```
 pub fn check_program(program: &Program, cfg: &CheckConfig) -> CheckReport {
-    let mut source = SingleTrace::new(program, cfg);
-    let st = source
-        .next_trace()
-        .expect("the single-trace source yields once");
-    if st.trace.violation.is_some() {
-        return report_for_violating_trace(st.trace, None);
-    }
-    check_trace(program, &st.trace, cfg)
+    check_source(
+        &mut SessionPool::one_shot(),
+        program,
+        &mut SingleTrace::new(program, cfg),
+        cfg,
+    )
+    .0
 }
 
-/// Check a program through a [`SessionPool`]: the trace is generated
-/// exactly as [`check_program`] would, but the encoding is reused from the
-/// pool whenever a previous query ran on the same (trace events, match
-/// pairs) — or, via sibling-path attachment, on the same communication
-/// skeleton. Returns the report and whether an existing encoding was
-/// reused.
+/// The paper's pipeline on a given trace: match pairs, encoding, solving,
+/// and (for over-approximate pairs) validate-and-refine. A trace that
+/// already violates a property is its own witness.
+pub fn check_trace(program: &Program, trace: &Trace, cfg: &CheckConfig) -> CheckReport {
+    check_source(
+        &mut SessionPool::one_shot(),
+        program,
+        &mut SingleTrace::of(trace.clone()),
+        cfg,
+    )
+    .0
+}
+
+/// The one symbolic check loop: every trace `source` yields runs through
+/// match-pair generation, a session from `pool` (shared or fresh, as the
+/// pool decides) and [`check_in_session_at`], and the per-trace reports
+/// fold into one.
 ///
-/// This is the entry point for batched drivers that run several
-/// delivery-model/match-generator scenarios against one grid point.
-pub fn check_program_pooled(
+/// * A trace that violates on its own (a random trace, or a directed
+///   path search hitting an assertion) is its own witness: no solver runs
+///   and the loop stops.
+/// * A confirmed violation stops the loop too, carrying the trace's
+///   branch vector in [`ConfirmedViolation::branch_path`].
+/// * Otherwise the verdict is `Safe` only when every trace was safe and
+///   the source was not truncated; any `Unknown` trace or truncation
+///   yields `Unknown`.
+///
+/// Returns the report and whether the *first* trace landed on an encoding
+/// the pool already held. Sibling-path sharing inside one source is
+/// visible through [`SessionPool::paths_attached`] instead, so batch-level
+/// `encodings_built` accounting stays comparable across engines.
+pub fn check_source(
     pool: &mut SessionPool,
     program: &Program,
+    source: &mut dyn TraceSource,
     cfg: &CheckConfig,
 ) -> (CheckReport, bool) {
-    let trace = generate_trace(program, cfg);
-    if trace.violation.is_some() {
-        // Direct violation: no encoding is built, so nothing to reuse.
-        return (report_for_violating_trace(trace, None), false);
+    let cfg = CheckConfig {
+        deadline: source.deadline().or(cfg.deadline),
+        ..*cfg
+    };
+    let mut agg = Aggregate::default();
+    let mut first_reuse: Option<bool> = None;
+    let mut unknown: Option<String> = None;
+    let mut verdict: Option<Verdict> = None;
+
+    while let Some(st) = source.next_trace() {
+        if st.trace.violation.is_some() {
+            verdict = Some(violating_trace_verdict(&st.trace, st.branch_path));
+            agg.last_trace = Some(st.trace);
+            break;
+        }
+        let pairs = make_pairs(program, &st.trace, &cfg);
+        let (session, slot, reused) = pool.session_for_path(program, &st.trace, &pairs);
+        let mut report = check_in_session_at(session, slot, program, &st.trace, &cfg);
+        report.matchgen_states = pairs.states_explored;
+        report.matchgen_pairs = pairs.num_pairs();
+        first_reuse.get_or_insert(reused);
+        agg.fold(&report);
+        agg.last_trace = Some(st.trace);
+        match report.verdict {
+            Verdict::Violation(mut cv) => {
+                cv.branch_path = st.branch_path;
+                verdict = Some(Verdict::Violation(cv));
+                break;
+            }
+            Verdict::Safe => {}
+            Verdict::Unknown(why) => {
+                unknown.get_or_insert(why);
+            }
+        }
     }
-    let pairs = make_pairs(program, &trace, cfg);
-    let (session, slot, reused) = pool.session_for_path(program, &trace, &pairs);
-    let mut report = check_in_session_at(session, slot, program, &trace, cfg);
-    report.matchgen_states = pairs.states_explored;
-    report.matchgen_pairs = pairs.num_pairs();
-    (report, reused)
+
+    let verdict = verdict.unwrap_or_else(|| match unknown {
+        Some(why) => Verdict::Unknown(why),
+        None if source.truncated() => Verdict::Unknown(
+            source
+                .stop_reason()
+                .unwrap_or_else(|| "path frontier truncated".into()),
+        ),
+        None => Verdict::Safe,
+    });
+    let trace = agg
+        .last_trace
+        .take()
+        .unwrap_or_else(|| execute_random(program, cfg.delivery, 0).trace);
+    let mut timings = agg.timings;
+    timings.enumerate_us += source.enumerate_us();
+    timings.schedule_us += source.schedule_us();
+    let report = CheckReport {
+        refinements: agg.refinements,
+        encode_stats: agg.encode_stats,
+        matchgen_states: agg.matchgen_states,
+        matchgen_pairs: agg.matchgen_pairs,
+        sat_checks: agg.sat_checks,
+        solver_stats: agg.solver_stats,
+        solver_introspect: agg.solver_introspect,
+        paths_explored: source.paths_explored(),
+        paths_pruned: source.paths_pruned(),
+        directed_transitions: source.directed_transitions(),
+        canonical_skipped: source.canonical_skipped(),
+        timings,
+        ..CheckReport::new(verdict, trace)
+    };
+    (report, first_reuse.unwrap_or(false))
 }
 
-/// The report for a trace that violated a property on its own (a random
-/// trace, or a directed path search hitting a concrete assertion
-/// failure): the trace is its own witness and no solver runs.
-pub(crate) fn report_for_violating_trace(trace: Trace, branch_path: Option<String>) -> CheckReport {
+/// Counter aggregation across per-trace reports.
+#[derive(Default)]
+struct Aggregate {
+    refinements: usize,
+    sat_checks: usize,
+    matchgen_states: usize,
+    matchgen_pairs: usize,
+    solver_stats: smt::Stats,
+    solver_introspect: smt::Introspect,
+    encode_stats: EncodeStats,
+    timings: PhaseTimings,
+    last_trace: Option<Trace>,
+}
+
+impl Aggregate {
+    fn fold(&mut self, report: &CheckReport) {
+        self.refinements += report.refinements;
+        self.sat_checks += report.sat_checks;
+        self.matchgen_states += report.matchgen_states;
+        self.matchgen_pairs = self.matchgen_pairs.max(report.matchgen_pairs);
+        self.solver_stats.merge(&report.solver_stats);
+        self.solver_introspect.merge(&report.solver_introspect);
+        self.timings.merge(&report.timings);
+        // Encode stats are formula *sizes*, not work counters: keep the
+        // last trace's (= the shared core's size under session reuse, one
+        // representative core without). Work totals live in solver_stats.
+        self.encode_stats = report.encode_stats;
+    }
+}
+
+/// The verdict for a trace that violated a property on its own: the
+/// trace is its own witness and no solver runs.
+fn violating_trace_verdict(trace: &Trace, branch_path: Option<String>) -> Verdict {
     let v = trace
         .violation
         .clone()
         .expect("caller checked for a violation");
-    CheckReport {
-        verdict: Verdict::Violation(Box::new(ConfirmedViolation {
-            witness: Witness {
-                matching: trace.concrete_matching_keys(),
-                event_order: (0..trace.events.len()).collect(),
-                clocks: (0..trace.events.len() as i64).collect(),
-                recv_values: Vec::new(),
-                violated: vec![v.message.clone()],
-            },
-            violation: Some(v.clone()),
-            violated_props: vec![v.message],
-            branch_path,
-        })),
-        refinements: 0,
-        encode_stats: EncodeStats::default(),
-        matchgen_states: 0,
-        matchgen_pairs: 0,
-        sat_checks: 0,
-        solver_stats: smt::Stats::default(),
-        solver_introspect: smt::Introspect::default(),
-        paths_explored: 1,
-        paths_pruned: 0,
-        directed_transitions: 0,
-        canonical_skipped: 0,
-        timings: PhaseTimings::default(),
-        trace,
-    }
+    Verdict::Violation(Box::new(ConfirmedViolation {
+        witness: Witness {
+            matching: trace.concrete_matching_keys(),
+            event_order: (0..trace.events.len()).collect(),
+            clocks: (0..trace.events.len() as i64).collect(),
+            recv_values: Vec::new(),
+            violated: vec![v.message.clone()],
+        },
+        violated_props: vec![v.message.clone()],
+        violation: Some(v),
+        branch_path,
+    }))
 }
 
-/// The paper's pipeline on a given trace: match pairs, encoding, solving,
-/// and (for over-approximate pairs) validate-and-refine. Builds a
-/// single-use [`CheckSession`]; batched callers should build the session
-/// once and use [`check_trace_in_session`] directly.
-pub fn check_trace(program: &Program, trace: &Trace, cfg: &CheckConfig) -> CheckReport {
-    let pairs = make_pairs(program, trace, cfg);
-    let mut session = CheckSession::new(program, trace, &pairs, UniqueScope::default());
-    let mut report = check_trace_in_session(&mut session, program, trace, cfg);
-    report.matchgen_states = pairs.states_explored;
-    report.matchgen_pairs = pairs.num_pairs();
-    report
-}
-
-/// Run the violation query for `(trace, cfg)` on a shared session: the
-/// delivery-model axiom group and negated-property group are activated by
-/// assumptions, refinement blocking clauses live in a solver scope popped
-/// on exit, and [`CheckConfig::budget_ms`] is plumbed into the solver as a
-/// per-check deadline so no single solve can overshoot the budget.
+/// Run the violation query for `(trace, cfg)` on one path slot of a
+/// shared session: the host trace or a sibling control-flow path attached
+/// to the shared core (`trace` must be the slot's own trace; it is used
+/// for witness replay). The delivery-model axiom group and negated-property
+/// group are activated by assumptions, refinement blocking clauses live in
+/// a solver scope popped on exit, and [`CheckConfig::budget_ms`] is
+/// plumbed into the solver as a per-check deadline so no single solve can
+/// overshoot the budget.
 ///
 /// Match-pair cost counters are left at zero — the session owner knows
 /// whether pair generation was amortised.
-pub fn check_trace_in_session(
-    session: &mut CheckSession,
-    program: &Program,
-    trace: &Trace,
-    cfg: &CheckConfig,
-) -> CheckReport {
-    check_in_session_at(session, PathSlot::Host, program, trace, cfg)
-}
-
-/// [`check_trace_in_session`] against an explicit path slot: the host
-/// trace or a sibling control-flow path attached to the shared core.
-/// `trace` must be the slot's own trace (used for witness replay).
 pub fn check_in_session_at(
     session: &mut CheckSession,
     slot: PathSlot,
@@ -528,7 +639,6 @@ pub fn check_in_session_at(
     trace: &Trace,
     cfg: &CheckConfig,
 ) -> CheckReport {
-    session.checks += 1;
     let mut query_span = trace::span("symbolic.query");
     let deadline = cfg.resolve_deadline();
     // Build (or look up) the axiom groups *before* opening the per-query
@@ -621,25 +731,18 @@ pub fn check_in_session_at(
         .arg("propagations", solver_stats.propagations);
 
     CheckReport {
-        verdict,
         refinements,
         encode_stats: enc.stats,
-        matchgen_states: 0,
-        matchgen_pairs: 0,
         sat_checks,
         solver_stats,
         solver_introspect,
         paths_explored: 1,
-        paths_pruned: 0,
-        directed_transitions: 0,
-        canonical_skipped: 0,
         timings: PhaseTimings {
             encode_us,
             solve_us,
-            schedule_us: 0,
-            enumerate_us: 0,
+            ..PhaseTimings::default()
         },
-        trace: trace.clone(),
+        ..CheckReport::new(verdict, trace.clone())
     }
 }
 
@@ -690,20 +793,8 @@ pub fn enumerate_matchings(
 ) -> MatchingEnumeration {
     let pairs = make_pairs(program, trace, cfg);
     let mut session = CheckSession::new(program, trace, &pairs, UniqueScope::default());
-    enumerate_matchings_in_session(&mut session, program, trace, cfg, limit)
-}
-
-/// All-SAT behaviour enumeration on a shared session: the positive-property
-/// group is activated by assumption and every blocking clause lives in a
-/// per-query scope, so the session stays clean for the next query.
-pub fn enumerate_matchings_in_session(
-    session: &mut CheckSession,
-    program: &Program,
-    trace: &Trace,
-    cfg: &CheckConfig,
-    limit: usize,
-) -> MatchingEnumeration {
-    session.checks += 1;
+    // All-SAT on the positive-property group: every model is blocked (in a
+    // query scope) until the formula runs dry or the limit is reached.
     let assumptions = session.assumptions(cfg.delivery, false);
     let enc = &mut session.enc;
     let id_terms = enc.id_terms();
@@ -765,7 +856,7 @@ pub fn enumerate_matchings_in_session(
     out
 }
 
-// Small helper on Trace used by check_program's direct-violation path.
+// Small helper on Trace used by the direct-violation verdict.
 trait TraceExt {
     fn concrete_matching_keys(&self) -> Matching;
 }
@@ -924,7 +1015,7 @@ mod tests {
                 matchgen: MatchGen::OverApprox,
                 ..CheckConfig::default()
             };
-            let (pooled, _) = check_program_pooled(&mut pool, &p, &cfg);
+            let (pooled, _) = check_source(&mut pool, &p, &mut SingleTrace::new(&p, &cfg), &cfg);
             let fresh = check_program(&p, &cfg);
             assert_eq!(
                 std::mem::discriminant(&pooled.verdict),

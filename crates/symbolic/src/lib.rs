@@ -38,6 +38,13 @@
 //! realises each under a directed scheduler, and checks the resulting
 //! traces on shared incremental encodings — a whole-program verdict.
 //!
+//! Both engines run the same loop, [`checker::check_source`]: it pulls
+//! traces from a [`checker::TraceSource`] ([`checker::SingleTrace`] or
+//! [`paths::PathEnumerator`]), fetches each trace's encoding from a
+//! [`session::SessionPool`] (shared, or fresh per trace for
+//! [`session::SessionPool::one_shot`]), and folds the per-trace reports
+//! into one verdict.
+//!
 //! ## End-to-end example
 //!
 //! ```
@@ -70,11 +77,11 @@ pub mod session;
 pub mod witness;
 
 pub use checker::{
-    check_program, check_trace, enumerate_matchings, CheckConfig, CheckReport, MatchGen,
-    PhaseTimings, TraceSource, Verdict,
+    check_program, check_source, check_trace, enumerate_matchings, CheckConfig, CheckReport,
+    MatchGen, PhaseTimings, SingleTrace, TraceSource, Verdict,
 };
 pub use encode::{encode, EncodeOptions, EncodeStats, Encoding};
 pub use matchpairs::{overapprox_match_pairs, precise_match_pairs, MatchPairs};
-pub use paths::{check_program_paths, check_program_paths_pooled, PathEnumerator, PathsConfig};
+pub use paths::{check_program_paths, PathEnumerator, PathsConfig};
 pub use session::{CheckSession, PathSlot, SessionPool};
 pub use witness::{replay_witness, ReplayVerdict, Witness};

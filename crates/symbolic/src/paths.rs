@@ -35,11 +35,8 @@
 //! truncated (`max_paths`), a search budget ran out, or the shared
 //! wall-clock deadline expired — never a silent `Safe`.
 
-use crate::checker::{
-    make_pairs, report_for_violating_trace, CheckConfig, CheckReport, PhaseTimings, SourcedTrace,
-    TraceSource, Verdict,
-};
-use crate::encode::{cond_term, EncodeStats};
+use crate::checker::{check_source, CheckConfig, CheckReport, SourcedTrace, TraceSource, Verdict};
+use crate::encode::cond_term;
 use crate::session::SessionPool;
 use mcapi::expr::Expr;
 use mcapi::program::{Instr, Program};
@@ -74,10 +71,6 @@ pub struct PathsConfig {
     /// default). Disable (`--no-canonical`) to sweep every interleaving —
     /// the baseline the CI perf gate compares against.
     pub canonical: bool,
-    /// Share one encoded communication core across sibling paths (the
-    /// default). Disable to re-encode every path from scratch — the
-    /// baseline the CI perf gate compares against.
-    pub session_reuse: bool,
     /// Feed static-analysis facts ([`analysis::facts`]) into the pruner
     /// (the default): forced-branch outcomes decide contradicting plans
     /// without a solver query, and constant send payloads tighten the
@@ -95,7 +88,6 @@ impl Default for PathsConfig {
             search_max_states: 200_000,
             search_max_transitions: u64::MAX,
             canonical: true,
-            session_reuse: true,
             static_facts: true,
         }
     }
@@ -313,8 +305,8 @@ enum PathStep {
 
 /// The path frontier: enumerates [`BranchPlan`]s in a deterministic
 /// mixed-radix order, prunes, replays, and yields one trace per feasible
-/// path. Implements [`TraceSource`], making `check_program_paths` the
-/// same loop as `check_program` over a different source.
+/// path. Implements [`TraceSource`], so [`check_program_paths`] is
+/// [`crate::checker::check_source`] over this source.
 pub struct PathEnumerator<'a> {
     program: &'a Program,
     cfg: PathsConfig,
@@ -351,6 +343,7 @@ impl<'a> PathEnumerator<'a> {
     /// static path space cannot be enumerated — cyclic flat code or a
     /// per-thread explosion — in which case callers must answer `Unknown`.
     pub fn new(program: &'a Program, cfg: &PathsConfig) -> Result<PathEnumerator<'a>, String> {
+        let _span = trace::span("paths.enumerate_setup");
         let setup = Instant::now();
         let space = program_paths(program, 4096).map_err(|e| e.to_string())?;
         let total = space
@@ -388,21 +381,6 @@ impl<'a> PathEnumerator<'a> {
         })
     }
 
-    /// Total static paths (before pruning).
-    pub fn total_paths(&self) -> usize {
-        self.total
-    }
-
-    /// µs spent enumerating the static path space and pruning plans.
-    pub fn enumerate_us(&self) -> u64 {
-        self.enumerate_us
-    }
-
-    /// µs spent in directed-scheduler searches realising paths.
-    pub fn schedule_us(&self) -> u64 {
-        self.schedule_us
-    }
-
     /// The plan at mixed-radix index `i`.
     fn plan_at(&self, mut i: usize) -> BranchPlan {
         let mut outcomes = Vec::with_capacity(self.space.len());
@@ -415,7 +393,7 @@ impl<'a> PathEnumerator<'a> {
     }
 
     /// Advance one path; `None` when the frontier is exhausted or stopped.
-    fn step(&mut self) -> Option<(BranchPlan, PathStep)> {
+    fn step(&mut self) -> Option<PathStep> {
         if self.stopped || self.next >= self.total {
             return None;
         }
@@ -444,7 +422,7 @@ impl<'a> PathEnumerator<'a> {
         self.enumerate_us += prune_start.elapsed().as_micros() as u64;
         if infeasible {
             self.pruned += 1;
-            return Some((plan, PathStep::Pruned));
+            return Some(PathStep::Pruned);
         }
         let dcfg = DirectedConfig {
             max_states: self.cfg.search_max_states,
@@ -494,15 +472,14 @@ impl<'a> PathEnumerator<'a> {
                 ))
             }
         };
-        Some((plan, step))
+        Some(step)
     }
 }
 
 impl TraceSource for PathEnumerator<'_> {
     fn next_trace(&mut self) -> Option<SourcedTrace> {
         loop {
-            let (_plan, step) = self.step()?;
-            match step {
+            match self.step()? {
                 PathStep::Pruned | PathStep::Infeasible | PathStep::Duplicate => continue,
                 PathStep::Trace(trace) | PathStep::ConcreteViolation(trace) => {
                     // Render the branch vector the trace actually
@@ -551,6 +528,22 @@ impl TraceSource for PathEnumerator<'_> {
     fn canonical_skipped(&self) -> u64 {
         self.canonical_skipped
     }
+
+    /// µs spent enumerating the static path space and pruning plans.
+    fn enumerate_us(&self) -> u64 {
+        self.enumerate_us
+    }
+
+    /// µs spent in directed-scheduler searches realising paths.
+    fn schedule_us(&self) -> u64 {
+        self.schedule_us
+    }
+
+    /// One deadline spans the whole exploration: every per-path query
+    /// gets it instead of restarting its own budget.
+    fn deadline(&self) -> Option<Instant> {
+        self.deadline
+    }
 }
 
 /// Path-complete check of a whole program: every feasible control-flow
@@ -593,203 +586,20 @@ impl TraceSource for PathEnumerator<'_> {
 /// assert!(report.paths_explored >= 2);
 /// ```
 pub fn check_program_paths(program: &Program, cfg: &PathsConfig) -> CheckReport {
-    let mut pool = SessionPool::new();
-    check_program_paths_pooled(&mut pool, program, cfg).0
+    match PathEnumerator::new(program, cfg) {
+        Ok(mut paths) => check_source(&mut SessionPool::new(), program, &mut paths, &cfg.check).0,
+        Err(why) => enumeration_failed(program, cfg, &why),
+    }
 }
 
-/// [`check_program_paths`] through a caller-owned [`SessionPool`], so
-/// batched drivers can share encoded cores across the delivery models and
-/// engines of one grid point as well as across sibling paths. Returns the
-/// report and whether any existing encoding was reused.
-pub fn check_program_paths_pooled(
-    pool: &mut SessionPool,
-    program: &Program,
-    cfg: &PathsConfig,
-) -> (CheckReport, bool) {
-    let setup_span = trace::span("paths.enumerate_setup");
-    let mut enumerator = match PathEnumerator::new(program, cfg) {
-        Ok(e) => e,
-        Err(why) => {
-            let trace = mcapi::runtime::execute_random(program, cfg.check.delivery, 0).trace;
-            return (
-                CheckReport {
-                    verdict: Verdict::Unknown(format!("path enumeration failed: {why}")),
-                    refinements: 0,
-                    encode_stats: EncodeStats::default(),
-                    matchgen_states: 0,
-                    matchgen_pairs: 0,
-                    sat_checks: 0,
-                    solver_stats: smt::Stats::default(),
-                    solver_introspect: smt::Introspect::default(),
-                    paths_explored: 0,
-                    paths_pruned: 0,
-                    directed_transitions: 0,
-                    canonical_skipped: 0,
-                    timings: PhaseTimings::default(),
-                    trace,
-                },
-                false,
-            );
-        }
-    };
-    drop(setup_span);
-    // One deadline spans the whole exploration; every per-path query gets
-    // the same absolute deadline instead of restarting its own budget.
-    let per_path_cfg = CheckConfig {
-        deadline: enumerator.deadline,
-        ..cfg.check
-    };
-
-    let mut agg = Aggregate::default();
-    // Reported reuse is whether the *first* path landed on an encoding a
-    // previous scenario built — internal sibling-path sharing is visible
-    // through `SessionPool::paths_attached` instead, so batch-level
-    // `encodings_built` accounting stays comparable across engines.
-    let mut first_reuse: Option<bool> = None;
-    let mut unknown: Option<String> = None;
-    let mut verdict: Option<Verdict> = None;
-    let mut violating: Option<(Trace, Option<String>)> = None;
-
-    while let Some(st) = enumerator.next_trace() {
-        if st.trace.violation.is_some() {
-            // The directed search hit a concrete assertion failure: the
-            // trace is its own witness, no solver needed.
-            violating = Some((st.trace, st.branch_path));
-            break;
-        }
-        let (report, reused) = if cfg.session_reuse {
-            check_path_trace(pool, program, &st.trace, &per_path_cfg)
-        } else {
-            let mut fresh = SessionPool::new();
-            check_path_trace(&mut fresh, program, &st.trace, &per_path_cfg)
-        };
-        first_reuse.get_or_insert(reused);
-        agg.fold(&report);
-        match report.verdict {
-            Verdict::Violation(mut cv) => {
-                cv.branch_path = st.branch_path;
-                verdict = Some(Verdict::Violation(cv));
-                agg.last_trace = Some(st.trace);
-                break;
-            }
-            Verdict::Safe => {
-                agg.last_trace = Some(st.trace);
-            }
-            Verdict::Unknown(why) => {
-                unknown.get_or_insert(why);
-                agg.last_trace = Some(st.trace);
-            }
-        }
-    }
-
-    if let Some((trace, path)) = violating {
-        let mut report = report_for_violating_trace(trace, path);
-        agg.fold_counters_into(&mut report);
-        report.paths_explored = enumerator.paths_explored();
-        report.paths_pruned = enumerator.paths_pruned();
-        report.directed_transitions = enumerator.directed_transitions();
-        report.canonical_skipped = enumerator.canonical_skipped();
-        report.timings.enumerate_us += enumerator.enumerate_us();
-        report.timings.schedule_us += enumerator.schedule_us();
-        return (report, first_reuse.unwrap_or(false));
-    }
-
-    let final_verdict = match verdict {
-        Some(v) => v,
-        None => {
-            if let Some(why) = unknown {
-                Verdict::Unknown(why)
-            } else if enumerator.truncated() {
-                Verdict::Unknown(
-                    enumerator
-                        .stop_reason()
-                        .unwrap_or_else(|| "path frontier truncated".into()),
-                )
-            } else {
-                Verdict::Safe
-            }
-        }
-    };
-    let trace = agg
-        .last_trace
-        .take()
-        .unwrap_or_else(|| mcapi::runtime::execute_random(program, cfg.check.delivery, 0).trace);
-    let mut timings = agg.timings;
-    timings.enumerate_us += enumerator.enumerate_us();
-    timings.schedule_us += enumerator.schedule_us();
-    let report = CheckReport {
-        verdict: final_verdict,
-        refinements: agg.refinements,
-        encode_stats: agg.encode_stats,
-        matchgen_states: agg.matchgen_states,
-        matchgen_pairs: agg.matchgen_pairs,
-        sat_checks: agg.sat_checks,
-        solver_stats: agg.solver_stats,
-        solver_introspect: agg.solver_introspect,
-        paths_explored: enumerator.paths_explored(),
-        paths_pruned: enumerator.paths_pruned(),
-        directed_transitions: enumerator.directed_transitions(),
-        canonical_skipped: enumerator.canonical_skipped(),
-        timings,
-        trace,
-    };
-    (report, first_reuse.unwrap_or(false))
-}
-
-/// Run one path's trace through the pooled session checker.
-fn check_path_trace(
-    pool: &mut SessionPool,
-    program: &Program,
-    trace: &Trace,
-    cfg: &CheckConfig,
-) -> (CheckReport, bool) {
-    let pairs = make_pairs(program, trace, cfg);
-    let (session, slot, reused) = pool.session_for_path(program, trace, &pairs);
-    let mut report = crate::checker::check_in_session_at(session, slot, program, trace, cfg);
-    report.matchgen_states = pairs.states_explored;
-    report.matchgen_pairs = pairs.num_pairs();
-    (report, reused)
-}
-
-/// Counter aggregation across per-path reports.
-#[derive(Default)]
-struct Aggregate {
-    refinements: usize,
-    sat_checks: usize,
-    matchgen_states: usize,
-    matchgen_pairs: usize,
-    solver_stats: smt::Stats,
-    solver_introspect: smt::Introspect,
-    encode_stats: EncodeStats,
-    timings: PhaseTimings,
-    last_trace: Option<Trace>,
-}
-
-impl Aggregate {
-    fn fold(&mut self, report: &CheckReport) {
-        self.refinements += report.refinements;
-        self.sat_checks += report.sat_checks;
-        self.matchgen_states += report.matchgen_states;
-        self.matchgen_pairs = self.matchgen_pairs.max(report.matchgen_pairs);
-        self.solver_stats.merge(&report.solver_stats);
-        self.solver_introspect.merge(&report.solver_introspect);
-        self.timings.merge(&report.timings);
-        // Encode stats are formula *sizes*, not work counters: keep the
-        // last path's (= the shared core's size under session reuse, one
-        // representative core without). Work totals live in solver_stats.
-        self.encode_stats = report.encode_stats;
-    }
-
-    fn fold_counters_into(&self, report: &mut CheckReport) {
-        report.refinements = self.refinements;
-        report.sat_checks = self.sat_checks;
-        report.matchgen_states = self.matchgen_states;
-        report.matchgen_pairs = self.matchgen_pairs;
-        report.solver_stats = self.solver_stats;
-        report.solver_introspect = self.solver_introspect.clone();
-        report.encode_stats = self.encode_stats;
-        report.timings = self.timings;
-    }
+/// The `Unknown` report for a program whose static path space cannot be
+/// enumerated ([`PathEnumerator::new`] failed with `why`): no path was
+/// explored, so nothing else is known.
+pub fn enumeration_failed(program: &Program, cfg: &PathsConfig, why: &str) -> CheckReport {
+    CheckReport::new(
+        Verdict::Unknown(format!("path enumeration failed: {why}")),
+        mcapi::runtime::execute_random(program, cfg.check.delivery, 0).trace,
+    )
 }
 
 #[cfg(test)]
@@ -1067,7 +877,8 @@ mod tests {
         let p = branchy2();
         let mut pool = SessionPool::new();
         let cfg = PathsConfig::default();
-        let (report, _) = check_program_paths_pooled(&mut pool, &p, &cfg);
+        let mut paths = PathEnumerator::new(&p, &cfg).unwrap();
+        let (report, _) = check_source(&mut pool, &p, &mut paths, &cfg.check);
         assert!(
             matches!(report.verdict, Verdict::Safe),
             "{:?}",

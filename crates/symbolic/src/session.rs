@@ -29,10 +29,12 @@
 //! popped at the end of the query so it cannot leak into the next one,
 //! while learned clauses that do not depend on it survive.
 //!
-//! [`SessionPool`] adds the batching layer the portfolio driver uses: it
-//! keys sessions by (program, trace events, match pairs), and — through
-//! [`SessionPool::session_for_path`] — also by communication skeleton, so
-//! sibling paths of one program transparently land on the same session.
+//! [`SessionPool`] adds the batching layer the portfolio driver uses:
+//! [`SessionPool::session_for_path`] keys sessions by (program, trace
+//! events, match pairs) and also by communication skeleton, so sibling
+//! paths of one program transparently land on the same session. The
+//! reuse policy lives in the pool: [`SessionPool::one_shot`] builds every
+//! session from scratch, the no-reuse baseline.
 
 use crate::encode::{encode_core, Encoding, PathAttachError, UniqueScope};
 use crate::matchpairs::MatchPairs;
@@ -78,8 +80,6 @@ pub struct CheckSession {
     host_pin_sel: Option<TermId>,
     /// Sibling control-flow paths attached to this session.
     siblings: Vec<SiblingEntry>,
-    /// Queries served by this session (refinement loops count as one).
-    pub checks: usize,
     /// Wall-clock µs spent building the core encoding and attaching
     /// sibling path groups, not yet attributed to a query (drained by
     /// [`CheckSession::take_pending_encode_us`]).
@@ -117,7 +117,6 @@ impl CheckSession {
             prop_sels: Vec::new(),
             host_pin_sel,
             siblings: Vec::new(),
-            checks: 0,
             pending_encode_us: built.elapsed().as_micros() as u64,
         }
     }
@@ -313,15 +312,9 @@ impl CheckSession {
     }
 
     /// Number of axiom groups (delivery models + host polarities) built so
-    /// far. Sibling-path groups are counted by
-    /// [`CheckSession::siblings_attached`] instead.
+    /// far; sibling-path groups are not counted.
     pub fn groups_built(&self) -> usize {
         self.delivery_sels.len() + self.prop_sels.len()
-    }
-
-    /// Sibling control-flow paths sharing this session's core.
-    pub fn siblings_attached(&self) -> usize {
-        self.siblings.len()
     }
 }
 
@@ -329,10 +322,13 @@ impl CheckSession {
 /// pairs), used by batched drivers to route every scenario of one grid
 /// point — and, with the path-exploration layer, every sibling
 /// control-flow path of one program — onto a shared encoding whenever
-/// that is sound.
+/// that is sound. A [`SessionPool::one_shot`] pool shares nothing: each
+/// lookup gets a freshly built session.
 #[derive(Default)]
 pub struct SessionPool {
     entries: Vec<PoolEntry>,
+    /// Build a fresh session for every lookup instead of sharing.
+    one_shot: bool,
     /// Encodings actually built (cache misses).
     pub encodings_built: usize,
     /// Sibling paths attached to existing cores instead of re-encoding.
@@ -351,46 +347,44 @@ struct PoolEntry {
 }
 
 impl SessionPool {
-    /// An empty pool.
+    /// An empty pool that shares sessions.
     pub fn new() -> SessionPool {
         SessionPool::default()
     }
 
-    /// Fetch the session for `(program, trace, pairs)`, building it on a
-    /// miss. Returns the session and whether it was reused. Sharing is
-    /// keyed on the program (the encoder reads payload expressions, branch
-    /// and assertion conditions from it — trace events alone don't carry
-    /// those), the trace's *events* (two delivery models frequently
-    /// produce the same schedule), and the pair sets.
-    pub fn session_for(
-        &mut self,
-        program: &Program,
-        trace: &Trace,
-        pairs: &MatchPairs,
-    ) -> (&mut CheckSession, bool) {
-        if let Some(i) = self.entries.iter().position(|e| {
-            e.program == *program
-                && e.trace.events == trace.events
-                && e.pairs.sends_for == pairs.sends_for
-        }) {
-            return (&mut self.entries[i].session, true);
+    /// A pool that answers every lookup with a freshly built session
+    /// (dropping the previous one) and never reports reuse: every query
+    /// encodes from scratch.
+    pub fn one_shot() -> SessionPool {
+        SessionPool {
+            one_shot: true,
+            ..SessionPool::default()
         }
-        let i = self.build_entry(program, trace, pairs);
-        (&mut self.entries[i].session, false)
     }
 
-    /// Like [`SessionPool::session_for`], but additionally shares cores
-    /// across *sibling control-flow paths*: when no exact (trace events)
-    /// match exists, a session whose trace has the same communication
-    /// skeleton is reused by attaching this trace as a sibling path group.
-    /// Returns the session, the path slot to query, and whether an
+    /// Fetch the session for `(program, trace, pairs)`, building it on a
+    /// miss. Returns the session, the path slot to query, and whether an
     /// existing encoding was reused.
+    ///
+    /// Sharing is keyed on the program (the encoder reads payload
+    /// expressions, branch and assertion conditions from it — trace events
+    /// alone don't carry those), the pair sets, and the trace: an exact
+    /// match on the host trace's (or an attached sibling's) *events* reuses
+    /// that slot — two delivery models frequently produce the same
+    /// schedule — and otherwise a session whose trace has the same
+    /// communication skeleton is reused by attaching this trace as a
+    /// sibling control-flow path.
     pub fn session_for_path(
         &mut self,
         program: &Program,
         trace: &Trace,
         pairs: &MatchPairs,
     ) -> (&mut CheckSession, PathSlot, bool) {
+        if self.one_shot {
+            self.entries.clear();
+            let i = self.build_entry(program, trace, pairs);
+            return (&mut self.entries[i].session, PathSlot::Host, false);
+        }
         // Exact host or sibling match first.
         for (i, e) in self.entries.iter().enumerate() {
             if e.program != *program || e.pairs.sends_for != pairs.sends_for {
@@ -533,17 +527,32 @@ mod tests {
         let over = overapprox_match_pairs(&p, &trace);
         let precise = precise_match_pairs(&p, &trace, DeliveryModel::Unordered);
         let mut pool = SessionPool::new();
-        let (_, reused) = pool.session_for(&p, &trace, &over);
-        assert!(!reused);
-        let (_, reused) = pool.session_for(&p, &trace, &over);
+        let (_, slot, reused) = pool.session_for_path(&p, &trace, &over);
+        assert_eq!((slot, reused), (PathSlot::Host, false));
+        let (_, slot, reused) = pool.session_for_path(&p, &trace, &over);
+        assert_eq!(slot, PathSlot::Host);
         assert!(reused, "identical (trace, pairs) must share");
         // fig1's precise and over-approximate pair sets coincide, so the
         // generators share one session too.
         assert_eq!(precise.sends_for, over.sends_for);
-        let (_, reused) = pool.session_for(&p, &trace, &precise);
+        let (_, _, reused) = pool.session_for_path(&p, &trace, &precise);
         assert!(reused);
         assert_eq!(pool.encodings_built, 1);
         assert_eq!(pool.len(), 1);
+    }
+
+    #[test]
+    fn one_shot_pool_builds_every_lookup_afresh() {
+        let p = fig1();
+        let trace = generate_trace(&p, &CheckConfig::default());
+        let pairs = overapprox_match_pairs(&p, &trace);
+        let mut pool = SessionPool::one_shot();
+        for _ in 0..2 {
+            let (_, slot, reused) = pool.session_for_path(&p, &trace, &pairs);
+            assert_eq!((slot, reused), (PathSlot::Host, false));
+        }
+        assert_eq!(pool.encodings_built, 2);
+        assert_eq!(pool.len(), 1, "the previous session is dropped");
     }
 
     /// A branchy program whose two paths share one communication skeleton:

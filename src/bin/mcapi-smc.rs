@@ -20,7 +20,11 @@
 //! mcapi-smc portfolio [opts]     # parallel grid, cancel on first violation
 //! mcapi-smc sweep [opts]         # parallel grid, run everything
 //! mcapi-smc corpus-check <dir> [--min N] [--slowest N]  # verify `// expect:` headers
+//! mcapi-smc --help | <command> --help  # usage lines, from the command table
 //! ```
+//!
+//! Each subcommand accepts exactly the flags in its [`COMMANDS`] entry;
+//! any other `--flag` (a typo such as `--enigne`) is a usage error (exit 2).
 //!
 //! `check` engines: `symbolic-overapprox` (default), `symbolic-precise`
 //! (`--precise` is the legacy spelling), `symbolic-paths` (branch-complete:
@@ -86,11 +90,100 @@ fn delivery_flag(args: &[String]) -> Result<Option<DeliveryModel>, String> {
     }
 }
 
-fn parse_flag_value(args: &[String], flag: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+/// Every subcommand with its usage spec: the positional arguments, then
+/// one `[--flag]` or `[--flag VALUE]` group per accepted flag. The spec is
+/// both the `--help` text and the flag table: any other `--flag` is a
+/// usage error.
+const COMMANDS: &[(&str, &str)] = &[
+    (
+        "check",
+        "<program> [--delivery unordered|fifo|zero] \
+         [--engine symbolic-precise|symbolic-overapprox|symbolic-paths|explicit] [--precise] \
+         [--budget-ms MS] [--max-paths N] [--unroll N] [--no-canonical] [--no-static-triage] \
+         [--metrics-out PATH] [--events-out PATH] [--trace-out PATH]",
+    ),
+    ("fmt", "<program|-> [--write]"),
+    ("lint", "<program|dir> [--deny warnings] [--unroll N]"),
+    ("export", "<family|point> [--scale K] [--out DIR]"),
+    (
+        "behaviours",
+        "<program> [--delivery unordered|fifo|zero] [--limit N] [--unroll N]",
+    ),
+    (
+        "explore",
+        "<program> [--delivery unordered|fifo|zero] [--unroll N]",
+    ),
+    (
+        "run",
+        "<program> [--delivery unordered|fifo|zero] [--seed N] [--unroll N]",
+    ),
+    ("info", "<program> [--unroll N]"),
+    ("demo", "<name>"),
+    ("portfolio", PORTFOLIO_SPEC),
+    ("sweep", PORTFOLIO_SPEC),
+    ("corpus-check", "<dir> [--min N] [--slowest N]"),
+];
+
+const PORTFOLIO_SPEC: &str = "[--threads N] [--scale K] [--families a,b,c] [--corpus DIR] \
+     [--delivery unordered|fifo|zero] [--budget-ms MS] [--max-paths N] [--json PATH|-] \
+     [--metrics-out PATH] [--events-out PATH] [--trace-out PATH] [--no-session-reuse] \
+     [--no-canonical] [--no-static-triage]";
+
+/// `cmd`'s usage line.
+fn usage(cmd: &str) -> String {
+    let (_, spec) = COMMANDS
+        .iter()
+        .find(|(name, _)| *name == cmd)
+        .expect("usage of a table command");
+    format!("usage: mcapi-smc {cmd} {spec}")
+}
+
+/// Every command's usage line, for `--help` and bare invocations.
+fn help() -> String {
+    let lines: String = COMMANDS
+        .iter()
+        .map(|(name, spec)| format!("  mcapi-smc {name} {spec}\n"))
+        .collect();
+    format!(
+        "usage:\n{lines}  mcapi-smc --list-programs\n\
+         exit codes: 0 safe, 1 violation, 2 bad usage, 3 unknown"
+    )
+}
+
+/// The first `--flag` in `args` that `spec` does not accept. A value
+/// flag's value is skipped unless it is itself `--`-prefixed, which the
+/// flag's own parser then rejects as a missing value.
+fn unknown_flag<'a>(spec: &str, args: &'a [String]) -> Option<&'a str> {
+    // (flag, takes a value) for every `[--flag ...]` group of the spec.
+    let accepted: Vec<(&str, bool)> = spec
+        .split('[')
+        .skip(1)
+        .filter_map(|group| {
+            let mut words = group.split(']').next()?.split_whitespace();
+            Some((words.next()?, words.next().is_some()))
+        })
+        .collect();
+    let mut rest = args.iter().skip(1).peekable();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            continue;
+        }
+        match accepted.iter().find(|(flag, _)| flag == arg) {
+            None => return Some(arg),
+            Some((_, true)) => {
+                rest.next_if(|v| !v.starts_with("--"));
+            }
+            Some((_, false)) => {}
+        }
+    }
+    None
+}
+
+/// The subcommand's positional argument, if given.
+fn positional(args: &[String]) -> Option<&str> {
+    args.get(1)
+        .map(String::as_str)
+        .filter(|a| !a.starts_with("--"))
 }
 
 /// Does this text look like a serialised JSON program rather than
@@ -226,10 +319,8 @@ struct OutputFlags {
 }
 
 fn output_flags(args: &[String]) -> Result<OutputFlags, String> {
-    let path = |flag: &str| match strict_value(args, flag) {
-        Some(Ok(p)) => Ok(Some(p.to_string())),
-        Some(Err(_)) => Err(format!("{flag} needs a file path")),
-        None => Ok(None),
+    let path = |flag: &str| -> Result<Option<String>, String> {
+        Ok(strict_value(args, flag)?.map(str::to_string))
     };
     Ok(OutputFlags {
         metrics_out: path("--metrics-out")?,
@@ -238,32 +329,29 @@ fn output_flags(args: &[String]) -> Result<OutputFlags, String> {
     })
 }
 
-/// Write `check`'s observability outputs. The single scenario goes
-/// through the same [`PortfolioReport`] plumbing as `portfolio`/`sweep`,
-/// so the metrics and event expositions have identical shape either way.
-fn write_check_outputs(
+/// Write `data` to `path`; a failure is reported with the path.
+fn write_file(path: impl AsRef<Path>, data: String) -> Result<(), String> {
+    let path = path.as_ref();
+    std::fs::write(path, data).map_err(|e| format!("cannot write {}: {e}", path.display()))
+}
+
+/// Write the observability outputs a run asked for. `check` reports its
+/// single scenario through the same [`PortfolioReport`] plumbing as
+/// `portfolio`/`sweep`, so the metrics and event expositions have
+/// identical shape either way.
+fn write_outputs(
     outputs: &OutputFlags,
-    outcome: ScenarioOutcome,
+    report: &PortfolioReport,
     tracer: Option<&trace::Tracer>,
 ) -> Result<(), String> {
-    if outputs.metrics_out.is_none() && outputs.events_out.is_none() && outputs.trace_out.is_none()
-    {
-        return Ok(());
+    if let Some(path) = &outputs.metrics_out {
+        write_file(path, report.to_prometheus())?;
     }
-    let wall_ms = outcome.wall_ms;
-    let report = PortfolioReport::from_outcomes("check", 1, wall_ms, vec![outcome]);
-    let write = |path: &str, data: String| {
-        std::fs::write(path, data).map_err(|e| format!("cannot write {path}: {e}"))
-    };
-    if let Some(path) = outputs.metrics_out.as_deref() {
-        write(path, report.to_prometheus())?;
+    if let Some(path) = &outputs.events_out {
+        write_file(path, report.events_jsonl())?;
     }
-    if let Some(path) = outputs.events_out.as_deref() {
-        write(path, report.events_jsonl())?;
-    }
-    if let Some(path) = outputs.trace_out.as_deref() {
-        let tracer = tracer.expect("--trace-out implies a tracer was created");
-        write(path, tracer.chrome_trace())?;
+    if let (Some(path), Some(t)) = (&outputs.trace_out, tracer) {
+        write_file(path, t.chrome_trace())?;
     }
     Ok(())
 }
@@ -271,59 +359,55 @@ fn write_check_outputs(
 /// The value following `flag`, refusing to consume a `--`-prefixed token:
 /// in `--json --budget-ms 100` the `--json` value is *missing*, not
 /// `"--budget-ms"` (which would otherwise be interpreted twice).
-fn strict_value<'a>(args: &'a [String], flag: &str) -> Option<Result<&'a str, String>> {
-    let i = args.iter().position(|a| a == flag)?;
-    Some(match args.get(i + 1).map(String::as_str) {
-        Some(v) if !v.starts_with("--") => Ok(v),
+fn strict_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    match args.get(i + 1).map(String::as_str) {
+        Some(v) if !v.starts_with("--") => Ok(Some(v)),
         _ => Err(format!("{flag} needs a value")),
-    })
+    }
 }
 
-/// Strict numeric flag parsing for the portfolio subcommands: a present
-/// flag with a missing or unparseable value is a usage error, not a silent
-/// fallback (`--budget-ms 10s` must not mean "unbounded").
+/// Strict numeric flag parsing: a present flag with a missing or
+/// unparseable value is a usage error, not a silent fallback
+/// (`--budget-ms 10s` must not mean "unbounded").
 fn parse_flag_strict(args: &[String], flag: &str) -> Result<Option<u64>, String> {
-    match strict_value(args, flag) {
-        None => Ok(None),
-        Some(Err(e)) => Err(format!("{e} (a number)")),
-        Some(Ok(raw)) => raw
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("{flag}: cannot parse {raw:?} as a number")),
+    strict_value(args, flag)?
+        .map(|raw| {
+            raw.parse()
+                .map_err(|_| format!("{flag}: cannot parse {raw:?} as a number"))
+        })
+        .transpose()
+}
+
+/// The exit code for a portfolio's verdicts: 1 on any violation, else 3
+/// on any unknown, else 0.
+fn exit_code(violation: bool, unknown: bool) -> ExitCode {
+    if violation {
+        ExitCode::from(1)
+    } else if unknown {
+        ExitCode::from(3)
+    } else {
+        ExitCode::SUCCESS
     }
 }
 
 /// Build and run a scenario grid; see the module docs for the flags.
-fn portfolio(args: &[String], mode: Mode) -> ExitCode {
-    let numeric = |flag: &str| parse_flag_strict(args, flag);
-    let (scale, threads, budget_ms) = match (
-        numeric("--scale"),
-        numeric("--threads"),
-        numeric("--budget-ms"),
-    ) {
-        (Ok(s), Ok(t), Ok(b)) => (
-            s.unwrap_or(2) as usize,
-            t.map(|n| n as usize).unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            }),
-            b,
-        ),
-        (s, t, b) => {
-            for e in [s.err(), t.err(), b.err()].into_iter().flatten() {
-                eprintln!("{e}");
-            }
-            return ExitCode::from(2);
-        }
+fn portfolio(args: &[String], mode: Mode) -> Result<ExitCode, String> {
+    let has = |flag: &str| args.iter().any(|a| a == flag);
+    let scale = parse_flag_strict(args, "--scale")?.unwrap_or(2) as usize;
+    let threads = match parse_flag_strict(args, "--threads")? {
+        Some(n) => n as usize,
+        None => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
     };
+    let budget_ms = parse_flag_strict(args, "--budget-ms")?;
+    let max_paths = parse_flag_strict(args, "--max-paths")?;
 
-    let specs: Vec<FamilySpec> = match strict_value(args, "--families") {
-        Some(Err(_)) => {
-            eprintln!("--families needs a comma-separated list of {FAMILIES:?}");
-            return ExitCode::from(2);
-        }
-        Some(Ok(list)) => {
+    let specs: Vec<FamilySpec> = match strict_value(args, "--families")? {
+        Some(list) => {
             let mut seen = std::collections::BTreeSet::new();
             let mut specs = Vec::new();
             for f in list.split(',') {
@@ -332,8 +416,7 @@ fn portfolio(args: &[String], mode: Mode) -> ExitCode {
                 }
                 let pts = family_grid(f, scale);
                 if pts.is_empty() {
-                    eprintln!("unknown family {f}; known families: {FAMILIES:?}");
-                    return ExitCode::from(2);
+                    return Err(format!("unknown family {f}; known families: {FAMILIES:?}"));
                 }
                 specs.extend(pts);
             }
@@ -342,85 +425,35 @@ fn portfolio(args: &[String], mode: Mode) -> ExitCode {
         None => default_grid(scale),
     };
 
-    let deliveries: Vec<DeliveryModel> = match strict_value(args, "--delivery") {
-        Some(Ok(tag)) => match frontend::parse_delivery(tag) {
-            Some(m) => vec![m],
-            None => {
-                // Unlike the single-program subcommands (which warn and
-                // fall back), a typo here would silently drop 2/3 of the
-                // grid — refuse instead.
-                eprintln!("unknown delivery model {tag:?}; expected unordered|fifo|zero");
-                return ExitCode::from(2);
-            }
-        },
-        Some(Err(_)) => {
-            eprintln!("--delivery needs a value (unordered|fifo|zero)");
-            return ExitCode::from(2);
-        }
+    // A delivery typo is a usage error (`delivery_flag`), never a silent
+    // fallback that would drop 2/3 of the grid.
+    let deliveries: Vec<DeliveryModel> = match delivery_flag(args)? {
+        Some(m) => vec![m],
         None => DeliveryModel::ALL.to_vec(),
     };
-
-    let json_target = match strict_value(args, "--json") {
-        Some(Ok(path)) => Some(path.to_string()),
-        Some(Err(_)) => {
-            eprintln!("--json needs a path (or `-` for stdout)");
-            return ExitCode::from(2);
-        }
-        None => None,
-    };
-
-    let outputs = match output_flags(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let session_reuse = !args.iter().any(|a| a == "--no-session-reuse");
-    let canonical = !args.iter().any(|a| a == "--no-canonical");
-    let static_triage = !args.iter().any(|a| a == "--no-static-triage");
-    let max_paths = match parse_flag_strict(args, "--max-paths") {
-        Ok(m) => m.map(|n| n as usize),
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    };
+    let json_target = strict_value(args, "--json")?;
+    let outputs = output_flags(args)?;
 
     let mut scenarios = cross(&specs, &deliveries, &Engine::ALL);
-    match strict_value(args, "--corpus") {
-        Some(Ok(dir)) => match corpus_scenarios(Path::new(dir), &deliveries, &Engine::ALL) {
-            Ok(mut extra) => {
-                if extra.is_empty() {
-                    eprintln!("warning: no .mcapi files under {dir}");
-                }
-                scenarios.append(&mut extra);
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::from(2);
-            }
-        },
-        Some(Err(_)) => {
-            eprintln!("--corpus needs a directory path");
-            return ExitCode::from(2);
+    if let Some(dir) = strict_value(args, "--corpus")? {
+        let mut extra = corpus_scenarios(Path::new(dir), &deliveries, &Engine::ALL)?;
+        if extra.is_empty() {
+            eprintln!("warning: no .mcapi files under {dir}");
         }
-        None => {}
+        scenarios.append(&mut extra);
     }
 
-    let mut cfg = PortfolioConfig {
+    let defaults = PortfolioConfig::default();
+    let cfg = PortfolioConfig {
         threads,
         mode,
         budget_ms,
-        session_reuse,
-        canonical,
-        static_triage,
-        ..PortfolioConfig::default()
+        session_reuse: !has("--no-session-reuse"),
+        canonical: !has("--no-canonical"),
+        static_triage: !has("--no-static-triage"),
+        max_paths: max_paths.map_or(defaults.max_paths, |n| n as usize),
+        ..defaults
     };
-    if let Some(n) = max_paths {
-        cfg.max_paths = n;
-    }
     let tracer = outputs.trace_out.as_ref().map(|_| trace::Tracer::new());
     let report = {
         // A `main` lane holds one umbrella span over the whole run; the
@@ -431,45 +464,17 @@ fn portfolio(args: &[String], mode: Mode) -> ExitCode {
         run_span.arg("scenarios", scenarios.len() as u64);
         report
     };
+    write_outputs(&outputs, &report, tracer.as_ref())?;
 
-    if let Some(path) = outputs.metrics_out.as_deref() {
-        if let Err(e) = std::fs::write(path, report.to_prometheus()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-    }
-    if let Some(path) = outputs.events_out.as_deref() {
-        if let Err(e) = std::fs::write(path, report.events_jsonl()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-    }
-    if let (Some(path), Some(t)) = (outputs.trace_out.as_deref(), tracer.as_ref()) {
-        if let Err(e) = std::fs::write(path, t.chrome_trace()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-    }
-
-    match json_target.as_deref() {
+    match json_target {
         Some("-") => println!("{}", report.to_json()),
         Some(path) => {
-            if let Err(e) = std::fs::write(path, report.to_json()) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::from(2);
-            }
+            write_file(path, report.to_json())?;
             print!("{}", report.render_table());
         }
         None => print!("{}", report.render_table()),
     }
-
-    if report.found_violation() {
-        ExitCode::from(1)
-    } else if report.unknown > 0 {
-        ExitCode::from(3)
-    } else {
-        ExitCode::SUCCESS
-    }
+    Ok(exit_code(report.found_violation(), report.unknown > 0))
 }
 
 /// `corpus-check <dir>`: verify every corpus file's `// expect:` header
@@ -480,32 +485,11 @@ fn portfolio(args: &[String], mode: Mode) -> ExitCode {
 /// mismatch, missing header, or a corpus smaller than `--min` (default
 /// 21). Each file's `// delivery:`/`// unroll:` headers apply exactly as
 /// they do under `check --engine symbolic-paths`.
-fn corpus_check(args: &[String]) -> ExitCode {
-    let Some(dir) = args.get(1).filter(|a| !a.starts_with("--")) else {
-        eprintln!("usage: mcapi-smc corpus-check <dir> [--min N] [--slowest N]");
-        return ExitCode::from(2);
-    };
-    let min = match parse_flag_strict(args, "--min") {
-        Ok(m) => m.unwrap_or(21) as usize,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    };
-    let slowest = match parse_flag_strict(args, "--slowest") {
-        Ok(s) => s.unwrap_or(0) as usize,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    };
-    let files = match corpus_files(Path::new(dir)) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    };
+fn corpus_check(args: &[String]) -> Result<ExitCode, String> {
+    let dir = positional(args).ok_or_else(|| usage("corpus-check"))?;
+    let min = parse_flag_strict(args, "--min")?.unwrap_or(21) as usize;
+    let slowest = parse_flag_strict(args, "--slowest")?.unwrap_or(0) as usize;
+    let files = corpus_files(Path::new(dir))?;
     println!("{} corpus files", files.len());
     let mut fail = false;
     if files.len() < min {
@@ -577,11 +561,7 @@ fn corpus_check(args: &[String]) -> ExitCode {
             println!("  {ms:>6} ms  {name}");
         }
     }
-    if fail {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    }
+    Ok(exit_code(fail, false))
 }
 
 /// `lint <file|dir>`: run the static communication analysis with caret
@@ -591,41 +571,22 @@ fn corpus_check(args: &[String]) -> ExitCode {
 /// a stale `expect-lint` header that matches nothing always fails), 2 on
 /// usage errors. Files that do not compile are reported (with their
 /// caret diagnostic) and count as failures.
-fn lint_cmd(args: &[String]) -> ExitCode {
-    let Some(target) = args.get(1).filter(|a| !a.starts_with("--")) else {
-        eprintln!("usage: mcapi-smc lint <program.mcapi|dir> [--deny warnings] [--unroll N]");
-        return ExitCode::from(2);
-    };
-    let deny_warnings = match strict_value(args, "--deny") {
-        Some(Ok("warnings")) => true,
-        Some(_) => {
-            eprintln!("--deny accepts exactly `warnings`");
-            return ExitCode::from(2);
-        }
+fn lint_cmd(args: &[String]) -> Result<ExitCode, String> {
+    let target = positional(args).ok_or_else(|| usage("lint"))?;
+    let deny_warnings = match strict_value(args, "--deny")? {
+        Some("warnings") => true,
+        Some(_) => return Err("--deny accepts exactly `warnings`".into()),
         None => false,
     };
-    let unroll_flag = match parse_flag_strict(args, "--unroll") {
-        Ok(u) => u,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    };
+    let unroll_flag = parse_flag_strict(args, "--unroll")?;
     let path = Path::new(target);
     let files: Vec<std::path::PathBuf> = if path.is_dir() {
-        match corpus_files(path) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::from(2);
-            }
-        }
+        corpus_files(path)?
     } else {
         vec![path.to_path_buf()]
     };
     if files.is_empty() {
-        eprintln!("no .mcapi files under {target}");
-        return ExitCode::from(2);
+        return Err(format!("no .mcapi files under {target}"));
     }
 
     let mut fail = false;
@@ -674,82 +635,45 @@ fn lint_cmd(args: &[String]) -> ExitCode {
         "{} file(s): {errors} error(s), {warnings} warning(s), {expected_total} expected finding(s)",
         files.len()
     );
-    if fail {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    }
+    Ok(exit_code(fail, false))
 }
 
 /// `fmt`: canonicalise MCAPI-lite (or convert a JSON program to it).
-fn fmt(args: &[String]) -> ExitCode {
-    let Some(path) = args.get(1) else {
-        eprintln!("usage: mcapi-smc fmt <program.mcapi|-> [--write]");
-        return ExitCode::from(2);
-    };
+fn fmt(args: &[String]) -> Result<ExitCode, String> {
+    let path = positional(args).ok_or_else(|| usage("fmt"))?;
     let write_back = args.iter().any(|a| a == "--write");
     if write_back && path == "-" {
-        eprintln!("fmt: --write needs a file path, not stdin (`-`)");
-        return ExitCode::from(2);
+        return Err("fmt: --write needs a file path, not stdin (`-`)".into());
     }
     let text = if path == "-" {
         let mut buf = String::new();
-        if let Err(e) = std::io::stdin().read_to_string(&mut buf) {
-            eprintln!("cannot read stdin: {e}");
-            return ExitCode::from(2);
-        }
+        std::io::stdin()
+            .read_to_string(&mut buf)
+            .map_err(|e| format!("cannot read stdin: {e}"))?;
         buf
     } else {
-        match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                return ExitCode::from(2);
-            }
-        }
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?
     };
     let formatted = if looks_like_json(&text) {
         // JSON → canonical MCAPI-lite (a one-way migration aid).
-        match parse_source("stdin.json", &text, None) {
-            Ok(p) => Ok(frontend::pretty(&p)),
-            Err(e) => Err(e),
-        }
+        parse_source("stdin.json", &text, None).map(|p| frontend::pretty(&p))
     } else {
         frontend::format_source(&text)
     };
-    match formatted {
-        Ok(out) => {
-            if write_back {
-                if let Err(e) = std::fs::write(path, &out) {
-                    eprintln!("cannot write {path}: {e}");
-                    return ExitCode::from(2);
-                }
-            } else {
-                print!("{out}");
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            ExitCode::from(2)
-        }
+    let out = formatted.map_err(|e| format!("{path}: {e}"))?;
+    if write_back {
+        write_file(path, out)?;
+    } else {
+        print!("{out}");
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `export`: dump a grid family (or a single point) as MCAPI-lite.
-fn export(args: &[String]) -> ExitCode {
-    let Some(target) = args.get(1).filter(|a| !a.starts_with("--")) else {
-        eprintln!("usage: mcapi-smc export <family|point> [--scale K] [--out DIR]");
-        eprintln!("families: {}", FAMILIES.join(" "));
-        return ExitCode::from(2);
-    };
-    let scale = match parse_flag_strict(args, "--scale") {
-        Ok(s) => s.unwrap_or(2) as usize,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    };
+fn export(args: &[String]) -> Result<ExitCode, String> {
+    let target = positional(args)
+        .ok_or_else(|| format!("{}\nfamilies: {}", usage("export"), FAMILIES.join(" ")))?;
+    let scale = parse_flag_strict(args, "--scale")?.unwrap_or(2) as usize;
     // A family tag exports the whole grid; otherwise fall back to a
     // single named point (`ring` is a family, `ring4x2` — and the legacy
     // alias spellings — a point).
@@ -760,9 +684,10 @@ fn export(args: &[String]) -> ExitCode {
         family
     };
     if points.is_empty() {
-        eprintln!("unknown family or point `{target}`; known families: {FAMILIES:?}");
-        eprintln!("(run `mcapi-smc --list-programs` for point-name patterns)");
-        return ExitCode::from(2);
+        return Err(format!(
+            "unknown family or point `{target}`; known families: {FAMILIES:?}\n\
+             (run `mcapi-smc --list-programs` for point-name patterns)"
+        ));
     }
     let render = |spec: &FamilySpec| {
         format!(
@@ -772,26 +697,16 @@ fn export(args: &[String]) -> ExitCode {
             frontend::pretty(&spec.build())
         )
     };
-    match strict_value(args, "--out") {
-        Some(Ok(dir)) => {
+    match strict_value(args, "--out")? {
+        Some(dir) => {
             let dir = Path::new(dir);
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("cannot create {}: {e}", dir.display());
-                return ExitCode::from(2);
-            }
+            std::fs::create_dir_all(dir)
+                .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
             for spec in &points {
                 let path = dir.join(format!("{}.mcapi", spec.name()));
-                if let Err(e) = std::fs::write(&path, render(spec)) {
-                    eprintln!("cannot write {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
+                write_file(&path, render(spec))?;
                 println!("wrote {}", path.display());
             }
-            ExitCode::SUCCESS
-        }
-        Some(Err(_)) => {
-            eprintln!("--out needs a directory path");
-            ExitCode::from(2)
         }
         None => {
             for (i, spec) in points.iter().enumerate() {
@@ -800,9 +715,246 @@ fn export(args: &[String]) -> ExitCode {
                 }
                 print!("{}", render(spec));
             }
-            ExitCode::SUCCESS
         }
     }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// `demo <name>`: print a workload grid point as JSON.
+fn demo(args: &[String]) -> Result<ExitCode, String> {
+    let Some(name) = positional(args) else {
+        list_programs();
+        return Err(usage("demo"));
+    };
+    let spec = named_program(name)
+        .ok_or_else(|| format!("unknown demo {name}; run `mcapi-smc --list-programs`"))?;
+    println!("{}", serde_json::to_string_pretty(&spec.build()).unwrap());
+    Ok(ExitCode::SUCCESS)
+}
+
+/// The subcommands that load one program file: `info`, `check`,
+/// `behaviours`, `explore` and `run`.
+fn program_command(cmd: &str, args: &[String]) -> Result<ExitCode, String> {
+    let path = positional(args).ok_or_else(|| usage(cmd))?;
+    // `--unroll N` sets the loop-unroll bound; precedence over the file's
+    // `// unroll:` header mirrors `--delivery`.
+    let (program, directives) = load_program(path, parse_flag_strict(args, "--unroll")?)?;
+    if cmd == "info" {
+        print!("{}", program.render());
+        println!(
+            "{} threads, {} sends, {} recvs, {} instructions",
+            program.threads.len(),
+            program.num_static_sends(),
+            program.num_static_recvs(),
+            program.code_size()
+        );
+        return Ok(ExitCode::SUCCESS);
+    }
+    // Precedence: --delivery flag, then the file's `// delivery:` header,
+    // then unordered.
+    let delivery = delivery_flag(args)?
+        .or(directives.delivery)
+        .unwrap_or(DeliveryModel::Unordered);
+    match cmd {
+        "check" => check(args, &program, delivery),
+        "behaviours" => {
+            let limit = parse_flag_strict(args, "--limit")?.unwrap_or(10_000) as usize;
+            let cfg = CheckConfig {
+                delivery,
+                matchgen: MatchGen::OverApprox,
+                ..CheckConfig::default()
+            };
+            let trace = generate_trace(&program, &cfg);
+            let en = enumerate_matchings(&program, &trace, &cfg, limit);
+            println!(
+                "{} behaviours ({} spurious blocked, {} SMT checks){}:",
+                en.matchings.len(),
+                en.spurious,
+                en.sat_checks,
+                if en.truncated {
+                    " [truncated: limit/budget reached]"
+                } else {
+                    ""
+                }
+            );
+            for m in &en.matchings {
+                let s: Vec<String> = m.iter().map(|(r, s)| format!("{r:?}<-{s:?}")).collect();
+                println!("  {}", s.join(" "));
+            }
+            Ok(ExitCode::SUCCESS)
+        }
+        "explore" => {
+            use explicit::{ExploreConfig, GraphExplorer};
+            let r = GraphExplorer::new(&program, ExploreConfig::with_model(delivery)).explore();
+            println!(
+                "states: {} | transitions: {} | behaviours: {} | deadlocks: {}",
+                r.states,
+                r.transitions,
+                r.matchings.len(),
+                r.deadlocks
+            );
+            for v in &r.violations {
+                println!("violation: {v}");
+            }
+            Ok(exit_code(r.found_violation(), false))
+        }
+        _ => {
+            let seed = parse_flag_strict(args, "--seed")?.unwrap_or(0);
+            let out = execute_random(&program, delivery, seed);
+            print!("{}", out.trace.render());
+            if out.trace.deadlock {
+                println!("deadlock");
+            }
+            Ok(ExitCode::SUCCESS)
+        }
+    }
+}
+
+/// `check`: one program under one engine; see the module docs.
+fn check(args: &[String], program: &Program, delivery: DeliveryModel) -> Result<ExitCode, String> {
+    let has = |flag: &str| args.iter().any(|a| a == flag);
+    let engine = match strict_value(args, "--engine")? {
+        None if has("--precise") => Engine::Symbolic(MatchGen::Precise),
+        None => Engine::Symbolic(MatchGen::OverApprox),
+        Some("symbolic-precise" | "precise") => Engine::Symbolic(MatchGen::Precise),
+        Some("symbolic-overapprox" | "overapprox" | "symbolic") => {
+            Engine::Symbolic(MatchGen::OverApprox)
+        }
+        Some("symbolic-paths" | "paths") => Engine::SymbolicPaths,
+        Some("explicit") => Engine::Explicit,
+        Some(other) => {
+            return Err(format!(
+                "unknown engine {other:?}; expected \
+                 symbolic-precise|symbolic-overapprox|symbolic-paths|explicit"
+            ))
+        }
+    };
+    // Validate --budget-ms/--max-paths before engine dispatch so a
+    // malformed value is a usage error on every engine.
+    let budget_ms = parse_flag_strict(args, "--budget-ms")?;
+    let max_paths = parse_flag_strict(args, "--max-paths")?;
+    if max_paths.is_some() && engine != Engine::SymbolicPaths {
+        eprintln!(
+            "note: --max-paths bounds the symbolic-paths frontier; \
+             the {} engine analyses one trace and ignores it",
+            engine.tag()
+        );
+    }
+    let canonical = !has("--no-canonical");
+    let outputs = output_flags(args)?;
+    let tracer = outputs.trace_out.as_ref().map(|_| trace::Tracer::new());
+    let start = std::time::Instant::now();
+    let mut out = ScenarioOutcome::skipped(
+        program.name.clone(),
+        "file".to_string(),
+        delivery.to_string(),
+        engine.tag().to_string(),
+    );
+    let code = if engine == Engine::Explicit {
+        if budget_ms.is_some() {
+            eprintln!(
+                "note: --budget-ms bounds the symbolic solve/refine loop; \
+                 the explicit engine is bounded by state count and ignores it"
+            );
+        }
+        let (code, result) = {
+            let _lane = tracer.as_ref().map(|t| t.install("main"));
+            check_explicit(program, delivery, canonical)
+        };
+        fill_explicit_outcome(&mut out, &result);
+        code
+    } else {
+        let matchgen = match engine {
+            Engine::Symbolic(m) => m,
+            _ => MatchGen::OverApprox,
+        };
+        let cfg = CheckConfig {
+            delivery,
+            matchgen,
+            budget_ms,
+            ..CheckConfig::default()
+        };
+        let path_complete = engine == Engine::SymbolicPaths;
+        let report = {
+            let _lane = tracer.as_ref().map(|t| t.install("main"));
+            if path_complete {
+                let pcfg = symbolic::paths::PathsConfig {
+                    check: cfg,
+                    max_paths: max_paths.unwrap_or(256) as usize,
+                    canonical,
+                    static_facts: !has("--no-static-triage"),
+                    ..symbolic::paths::PathsConfig::default()
+                };
+                symbolic::paths::check_program_paths(program, &pcfg)
+            } else {
+                check_program(program, &cfg)
+            }
+        };
+        if path_complete {
+            println!(
+                "program: {} | delivery: {delivery} | engine: symbolic-paths",
+                program.name
+            );
+        } else {
+            println!(
+                "program: {} | delivery: {delivery} | matchgen: {matchgen:?}",
+                program.name
+            );
+        }
+        println!(
+            "encoding: {} vars, {} clauses, {} atoms | match-pairs: {} ({} states)",
+            report.encode_stats.sat_vars,
+            report.encode_stats.sat_clauses,
+            report.encode_stats.theory_atoms,
+            report.matchgen_pairs,
+            report.matchgen_states,
+        );
+        if path_complete {
+            println!(
+                "paths: {} explored, {} pruned | directed: {} transitions, {} canonical-skipped",
+                report.paths_explored,
+                report.paths_pruned,
+                report.directed_transitions,
+                report.canonical_skipped,
+            );
+        }
+        let code = match &report.verdict {
+            Verdict::Safe if path_complete => {
+                println!("verdict: SAFE (all feasible control-flow paths)");
+                ExitCode::SUCCESS
+            }
+            Verdict::Safe => {
+                println!("verdict: SAFE (no violation within this trace's branches)");
+                ExitCode::SUCCESS
+            }
+            Verdict::Violation(cv) => {
+                println!("verdict: VIOLATION");
+                if let Some(path) = &cv.branch_path {
+                    println!("  path: {path}");
+                }
+                for m in &cv.violated_props {
+                    println!("  property: {m}");
+                }
+                for (r, s) in &cv.witness.matching {
+                    println!("  {r:?} <- {s:?}");
+                }
+                if let Some(v) = &cv.violation {
+                    println!("  replayed: {v}");
+                }
+                ExitCode::from(1)
+            }
+            Verdict::Unknown(why) => {
+                println!("verdict: UNKNOWN ({why})");
+                ExitCode::from(3)
+            }
+        };
+        fill_symbolic_outcome(&mut out, report, false);
+        code
+    };
+    out.wall_ms = start.elapsed().as_millis() as u64;
+    let report = PortfolioReport::from_outcomes("check", 1, out.wall_ms, vec![out]);
+    write_outputs(&outputs, &report, tracer.as_ref())?;
+    Ok(code)
 }
 
 fn main() -> ExitCode {
@@ -811,350 +963,41 @@ fn main() -> ExitCode {
         list_programs();
         return ExitCode::SUCCESS;
     }
-    let Some(cmd) = args.first().map(String::as_str) else {
-        eprintln!(
-            "usage: mcapi-smc <check|fmt|lint|export|behaviours|explore|run|info|demo|portfolio|sweep> ..."
-        );
-        eprintln!("       mcapi-smc --list-programs");
-        return ExitCode::from(2);
+    dispatch(&args).unwrap_or_else(|usage_error| {
+        eprintln!("{usage_error}");
+        ExitCode::from(2)
+    })
+}
+
+/// Check the command line against [`COMMANDS`] and run the subcommand.
+/// `Err` is a usage error (exit 2) carrying its message.
+fn dispatch(args: &[String]) -> Result<ExitCode, String> {
+    let is_help = |a: &String| a == "--help" || a == "-h";
+    let Some(first) = args.first() else {
+        return Err(help());
     };
-
-    match cmd {
-        "portfolio" => return portfolio(&args, Mode::Race),
-        "sweep" => return portfolio(&args, Mode::Sweep),
-        "fmt" => return fmt(&args),
-        "lint" => return lint_cmd(&args),
-        "export" => return export(&args),
-        "corpus-check" => return corpus_check(&args),
-        _ => {}
+    if is_help(first) {
+        println!("{}", help());
+        return Ok(ExitCode::SUCCESS);
     }
-
+    let Some(&(cmd, spec)) = COMMANDS.iter().find(|(name, _)| name == first) else {
+        return Err(format!("unknown command {first}\n{}", help()));
+    };
+    if args.iter().any(is_help) {
+        println!("{}", usage(cmd));
+        return Ok(ExitCode::SUCCESS);
+    }
+    if let Some(flag) = unknown_flag(spec, args) {
+        return Err(format!("unknown flag {flag} for `{cmd}`\n{}", usage(cmd)));
+    }
     match cmd {
-        "demo" => {
-            let Some(name) = args.get(1) else {
-                eprintln!("usage: mcapi-smc demo <name>   (JSON on stdout)");
-                list_programs();
-                return ExitCode::from(2);
-            };
-            match named_program(name) {
-                Some(spec) => {
-                    println!("{}", serde_json::to_string_pretty(&spec.build()).unwrap());
-                    ExitCode::SUCCESS
-                }
-                None => {
-                    eprintln!("unknown demo {name}; run `mcapi-smc --list-programs`");
-                    ExitCode::from(2)
-                }
-            }
-        }
-        "info" => {
-            let Some(path) = args.get(1) else {
-                eprintln!("usage: mcapi-smc info <program>");
-                return ExitCode::from(2);
-            };
-            let unroll = match parse_flag_strict(&args, "--unroll") {
-                Ok(u) => u,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::from(2);
-                }
-            };
-            match load_program(path, unroll) {
-                Ok((p, _)) => {
-                    print!("{}", p.render());
-                    println!(
-                        "{} threads, {} sends, {} recvs, {} instructions",
-                        p.threads.len(),
-                        p.num_static_sends(),
-                        p.num_static_recvs(),
-                        p.code_size()
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::from(2)
-                }
-            }
-        }
-        "check" | "behaviours" | "explore" | "run" => {
-            let Some(path) = args.get(1) else {
-                eprintln!("usage: mcapi-smc {cmd} <program> [options]");
-                return ExitCode::from(2);
-            };
-            // `--unroll N` sets the loop-unroll bound; precedence over
-            // the file's `// unroll:` header mirrors `--delivery`.
-            let unroll = match parse_flag_strict(&args, "--unroll") {
-                Ok(u) => u,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let (program, directives) = match load_program(path, unroll) {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::from(2);
-                }
-            };
-            // Precedence: --delivery flag, then the file's `// delivery:`
-            // header, then unordered.
-            let delivery = match delivery_flag(&args) {
-                Ok(flag) => flag
-                    .or(directives.delivery)
-                    .unwrap_or(DeliveryModel::Unordered),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::from(2);
-                }
-            };
-            match cmd {
-                "check" => {
-                    let engine = match strict_value(&args, "--engine") {
-                        None => {
-                            if args.iter().any(|a| a == "--precise") {
-                                Engine::Symbolic(MatchGen::Precise)
-                            } else {
-                                Engine::Symbolic(MatchGen::OverApprox)
-                            }
-                        }
-                        Some(Ok("symbolic-precise")) | Some(Ok("precise")) => {
-                            Engine::Symbolic(MatchGen::Precise)
-                        }
-                        Some(Ok("symbolic-overapprox"))
-                        | Some(Ok("overapprox"))
-                        | Some(Ok("symbolic")) => Engine::Symbolic(MatchGen::OverApprox),
-                        Some(Ok("symbolic-paths")) | Some(Ok("paths")) => Engine::SymbolicPaths,
-                        Some(Ok("explicit")) => Engine::Explicit,
-                        Some(other) => {
-                            eprintln!(
-                                "unknown engine {:?}; expected symbolic-precise|symbolic-overapprox|symbolic-paths|explicit",
-                                other.ok()
-                            );
-                            return ExitCode::from(2);
-                        }
-                    };
-                    // Validate --budget-ms/--max-paths before engine
-                    // dispatch so a malformed value is a usage error on
-                    // every engine.
-                    let budget_ms = match parse_flag_strict(&args, "--budget-ms") {
-                        Ok(b) => b,
-                        Err(e) => {
-                            eprintln!("{e}");
-                            return ExitCode::from(2);
-                        }
-                    };
-                    let max_paths = match parse_flag_strict(&args, "--max-paths") {
-                        Ok(m) => {
-                            if m.is_some() && engine != Engine::SymbolicPaths {
-                                eprintln!(
-                                    "note: --max-paths bounds the symbolic-paths frontier; \
-                                     the {} engine analyses one trace and ignores it",
-                                    engine.tag()
-                                );
-                            }
-                            m.unwrap_or(256) as usize
-                        }
-                        Err(e) => {
-                            eprintln!("{e}");
-                            return ExitCode::from(2);
-                        }
-                    };
-                    let canonical = !args.iter().any(|a| a == "--no-canonical");
-                    let outputs = match output_flags(&args) {
-                        Ok(o) => o,
-                        Err(e) => {
-                            eprintln!("{e}");
-                            return ExitCode::from(2);
-                        }
-                    };
-                    let tracer = outputs.trace_out.as_ref().map(|_| trace::Tracer::new());
-                    let start = std::time::Instant::now();
-                    let outcome_shell = || {
-                        ScenarioOutcome::skipped(
-                            program.name.clone(),
-                            "file".to_string(),
-                            delivery.to_string(),
-                            engine.tag().to_string(),
-                        )
-                    };
-                    if engine == Engine::Explicit {
-                        if budget_ms.is_some() {
-                            eprintln!(
-                                "note: --budget-ms bounds the symbolic solve/refine loop; \
-                                 the explicit engine is bounded by state count and ignores it"
-                            );
-                        }
-                        let (code, result) = {
-                            let _lane = tracer.as_ref().map(|t| t.install("main"));
-                            check_explicit(&program, delivery, canonical)
-                        };
-                        let mut out = outcome_shell();
-                        fill_explicit_outcome(&mut out, &result);
-                        out.wall_ms = start.elapsed().as_millis() as u64;
-                        if let Err(e) = write_check_outputs(&outputs, out, tracer.as_ref()) {
-                            eprintln!("{e}");
-                            return ExitCode::from(2);
-                        }
-                        return code;
-                    }
-                    let matchgen = match engine {
-                        Engine::Symbolic(m) => m,
-                        Engine::SymbolicPaths => MatchGen::OverApprox,
-                        Engine::Explicit => unreachable!("handled above"),
-                    };
-                    let cfg = CheckConfig {
-                        delivery,
-                        matchgen,
-                        budget_ms,
-                        ..CheckConfig::default()
-                    };
-                    let (report, path_complete) = {
-                        let _lane = tracer.as_ref().map(|t| t.install("main"));
-                        if engine == Engine::SymbolicPaths {
-                            let pcfg = symbolic::paths::PathsConfig {
-                                check: cfg,
-                                max_paths,
-                                canonical,
-                                ..symbolic::paths::PathsConfig::default()
-                            };
-                            (symbolic::paths::check_program_paths(&program, &pcfg), true)
-                        } else {
-                            (check_program(&program, &cfg), false)
-                        }
-                    };
-                    if path_complete {
-                        println!(
-                            "program: {} | delivery: {delivery} | engine: symbolic-paths",
-                            program.name
-                        );
-                    } else {
-                        println!(
-                            "program: {} | delivery: {delivery} | matchgen: {matchgen:?}",
-                            program.name
-                        );
-                    }
-                    println!(
-                        "encoding: {} vars, {} clauses, {} atoms | match-pairs: {} ({} states)",
-                        report.encode_stats.sat_vars,
-                        report.encode_stats.sat_clauses,
-                        report.encode_stats.theory_atoms,
-                        report.matchgen_pairs,
-                        report.matchgen_states,
-                    );
-                    if path_complete {
-                        println!(
-                            "paths: {} explored, {} pruned | directed: {} transitions, {} canonical-skipped",
-                            report.paths_explored,
-                            report.paths_pruned,
-                            report.directed_transitions,
-                            report.canonical_skipped,
-                        );
-                    }
-                    let code = match &report.verdict {
-                        Verdict::Safe => {
-                            if path_complete {
-                                println!("verdict: SAFE (all feasible control-flow paths)");
-                            } else {
-                                println!(
-                                    "verdict: SAFE (no violation within this trace's branches)"
-                                );
-                            }
-                            ExitCode::SUCCESS
-                        }
-                        Verdict::Violation(cv) => {
-                            println!("verdict: VIOLATION");
-                            if let Some(path) = &cv.branch_path {
-                                println!("  path: {path}");
-                            }
-                            for m in &cv.violated_props {
-                                println!("  property: {m}");
-                            }
-                            for (r, s) in &cv.witness.matching {
-                                println!("  {r:?} <- {s:?}");
-                            }
-                            if let Some(v) = &cv.violation {
-                                println!("  replayed: {v}");
-                            }
-                            ExitCode::from(1)
-                        }
-                        Verdict::Unknown(why) => {
-                            println!("verdict: UNKNOWN ({why})");
-                            ExitCode::from(3)
-                        }
-                    };
-                    let mut out = outcome_shell();
-                    fill_symbolic_outcome(&mut out, report, false);
-                    out.wall_ms = start.elapsed().as_millis() as u64;
-                    if let Err(e) = write_check_outputs(&outputs, out, tracer.as_ref()) {
-                        eprintln!("{e}");
-                        return ExitCode::from(2);
-                    }
-                    code
-                }
-                "behaviours" => {
-                    let limit = parse_flag_value(&args, "--limit").unwrap_or(10_000) as usize;
-                    let cfg = CheckConfig {
-                        delivery,
-                        matchgen: MatchGen::OverApprox,
-                        ..CheckConfig::default()
-                    };
-                    let trace = generate_trace(&program, &cfg);
-                    let en = enumerate_matchings(&program, &trace, &cfg, limit);
-                    println!(
-                        "{} behaviours ({} spurious blocked, {} SMT checks){}:",
-                        en.matchings.len(),
-                        en.spurious,
-                        en.sat_checks,
-                        if en.truncated {
-                            " [truncated: limit/budget reached]"
-                        } else {
-                            ""
-                        }
-                    );
-                    for m in &en.matchings {
-                        let s: Vec<String> =
-                            m.iter().map(|(r, s)| format!("{r:?}<-{s:?}")).collect();
-                        println!("  {}", s.join(" "));
-                    }
-                    ExitCode::SUCCESS
-                }
-                "explore" => {
-                    use explicit::{ExploreConfig, GraphExplorer};
-                    let r =
-                        GraphExplorer::new(&program, ExploreConfig::with_model(delivery)).explore();
-                    println!(
-                        "states: {} | transitions: {} | behaviours: {} | deadlocks: {}",
-                        r.states,
-                        r.transitions,
-                        r.matchings.len(),
-                        r.deadlocks
-                    );
-                    for v in &r.violations {
-                        println!("violation: {v}");
-                    }
-                    if r.found_violation() {
-                        ExitCode::from(1)
-                    } else {
-                        ExitCode::SUCCESS
-                    }
-                }
-                "run" => {
-                    let seed = parse_flag_value(&args, "--seed").unwrap_or(0);
-                    let out = execute_random(&program, delivery, seed);
-                    print!("{}", out.trace.render());
-                    if out.trace.deadlock {
-                        println!("deadlock");
-                    }
-                    ExitCode::SUCCESS
-                }
-                _ => unreachable!(),
-            }
-        }
-        other => {
-            eprintln!("unknown command {other}");
-            ExitCode::from(2)
-        }
+        "portfolio" => portfolio(args, Mode::Race),
+        "sweep" => portfolio(args, Mode::Sweep),
+        "fmt" => fmt(args),
+        "lint" => lint_cmd(args),
+        "export" => export(args),
+        "corpus-check" => corpus_check(args),
+        "demo" => demo(args),
+        _ => program_command(cmd, args),
     }
 }

@@ -941,3 +941,53 @@ fn check_no_static_triage_flag_is_accepted_and_agrees() {
     assert_eq!(with.status.code(), Some(1), "statically decided violation");
     assert_eq!(without.status.code(), Some(1), "engine agrees");
 }
+
+#[test]
+fn unknown_flags_are_usage_errors_not_ignored() {
+    // A typo must not silently run the default engine.
+    let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus/fig1-assert.mcapi");
+    let out = bin()
+        .args(["check", corpus.to_str().unwrap(), "--enigne", "explicit"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "typo'd --engine");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("--enigne"), "{stderr}");
+    assert!(stderr.contains("usage: mcapi-smc check"), "{stderr}");
+    // A flag another subcommand accepts is still unknown here.
+    let out = bin()
+        .args(["sweep", "--families", "fig1", "--limit", "3"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "--limit is not a sweep flag");
+}
+
+#[test]
+fn malformed_numeric_values_are_usage_errors() {
+    let path = write_temp("fig1-bad-values.json", &demo_json("fig1"));
+    let out = bin()
+        .args(["behaviours", path.to_str().unwrap(), "--limit", "abc"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "bad --limit");
+    let out = bin()
+        .args(["run", path.to_str().unwrap(), "--seed", "x"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "bad --seed");
+}
+
+#[test]
+fn help_prints_usage_and_exits_0() {
+    for args in [vec!["--help"], vec!["-h"]] {
+        let out = bin().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(stdout.contains("mcapi-smc check <program>"), "{stdout}");
+        assert!(stdout.contains("mcapi-smc sweep"), "{stdout}");
+    }
+    let out = bin().args(["check", "--help"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains("[--engine "), "{stdout}");
+}

@@ -6,7 +6,7 @@
 //! settle a scenario with zero engine work or feed the path pruner
 //! static facts, but it must never change what the portfolio answers.
 
-use driver::runner::{run_portfolio, run_scenario, Mode, PortfolioConfig};
+use driver::runner::{run_portfolio, Mode, PortfolioConfig};
 use driver::scenario::{corpus_scenarios, cross, Engine, ProgramSpec, Scenario};
 use mcapi::program::Program;
 use mcapi::types::DeliveryModel;
@@ -88,9 +88,9 @@ fn corpus_verdicts_are_bit_identical_with_and_without_triage() {
 fn assert_triage_is_invisible(program: &Program) {
     for engine in [Engine::SymbolicPaths, Engine::Explicit] {
         let spec = ProgramSpec::source(program.name.clone(), program.clone());
-        let scenario = Scenario::new(spec, DeliveryModel::Unordered, engine);
-        let with = run_scenario(&scenario, &triage_cfg(true));
-        let without = run_scenario(&scenario, &triage_cfg(false));
+        let scenario = [Scenario::new(spec, DeliveryModel::Unordered, engine)];
+        let with = &run_portfolio(&scenario, &triage_cfg(true)).outcomes[0];
+        let without = &run_portfolio(&scenario, &triage_cfg(false)).outcomes[0];
         assert_eq!(
             with.verdict, without.verdict,
             "{}: triage-on said {:?} ({}), engine-only said {:?} ({})",
