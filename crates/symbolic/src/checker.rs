@@ -1032,6 +1032,34 @@ mod tests {
     }
 
     #[test]
+    fn check_trace_on_violating_trace_is_its_own_witness() {
+        let p = race_with_assert();
+        let trace = (0..64)
+            .map(|seed| mcapi::runtime::execute_random(&p, DeliveryModel::Unordered, seed).trace)
+            .find(|t| t.violation.is_some())
+            .expect("some schedule delivers p2's message first");
+        let v = trace.violation.clone().unwrap();
+        let n = trace.events.len();
+
+        let report = check_trace(&p, &trace, &CheckConfig::default());
+        let Verdict::Violation(cv) = &report.verdict else {
+            panic!("expected a violation, got {:?}", report.verdict);
+        };
+        assert_eq!(
+            report.sat_checks, 0,
+            "no solver query for a violating trace"
+        );
+        assert_eq!(cv.violation.as_ref(), Some(&v));
+        assert_eq!(cv.violated_props, vec![v.message.clone()]);
+        assert_eq!(cv.branch_path, None);
+        assert_eq!(cv.witness.matching, trace.concrete_matching_keys());
+        assert_eq!(cv.witness.event_order, (0..n).collect::<Vec<_>>());
+        assert_eq!(cv.witness.clocks, (0..n as i64).collect::<Vec<_>>());
+        assert!(cv.witness.recv_values.is_empty());
+        assert_eq!(cv.witness.violated, vec![v.message]);
+    }
+
+    #[test]
     fn fig1_matching_enumeration_is_exactly_fig4() {
         let p = fig1();
         let cfg = CheckConfig::default();

@@ -882,7 +882,6 @@ fn check(args: &[String], program: &Program, delivery: DeliveryModel) -> Result<
                     check: cfg,
                     max_paths: max_paths.unwrap_or(256) as usize,
                     canonical,
-                    static_facts: !has("--no-static-triage"),
                     ..symbolic::paths::PathsConfig::default()
                 };
                 symbolic::paths::check_program_paths(program, &pcfg)
