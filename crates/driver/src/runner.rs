@@ -45,8 +45,6 @@ pub struct PortfolioConfig {
     pub budget_ms: Option<u64>,
     /// Explicit-engine state-count cap (its analogue of a time budget).
     pub max_states: usize,
-    /// Validate symbolic witnesses by concrete replay.
-    pub validate: bool,
     /// Batch scenarios by grid point and share one incremental SMT
     /// encoding per (trace, match pairs) across delivery models, match
     /// generators and sibling control-flow paths (see
@@ -79,7 +77,6 @@ impl Default for PortfolioConfig {
             mode: Mode::Sweep,
             budget_ms: None,
             max_states: 1_000_000,
-            validate: true,
             session_reuse: true,
             max_paths: 64,
             canonical: true,
@@ -104,7 +101,6 @@ impl PortfolioConfig {
             delivery: scenario.delivery,
             matchgen,
             budget_ms: self.budget_ms,
-            validate: self.validate,
             ..CheckConfig::default()
         }
     }

@@ -47,45 +47,6 @@ impl ExploreResult {
         }
     }
 
-    /// Report this exploration's counters into `reg` under the explicit
-    /// layer's stable metric names (`mcapi_explicit_*`), tagged with
-    /// `labels`.
-    pub fn record_metrics(&self, reg: &mut metrics::Registry, labels: &[(&str, &str)]) {
-        record_exploration_counters(
-            reg,
-            labels,
-            self.states as u64,
-            self.transitions as u64,
-            self.canonical_skipped,
-        );
-        let mut c = |name: &str, help: &str, v: u64| reg.counter_add(name, help, labels, v);
-        c(
-            "mcapi_explicit_complete_terminals_total",
-            "Terminal states in which every thread finished",
-            self.complete_terminals as u64,
-        );
-        c(
-            "mcapi_explicit_deadlocks_total",
-            "Deadlocked terminal states reached",
-            self.deadlocks as u64,
-        );
-        c(
-            "mcapi_explicit_violations_total",
-            "Distinct assertion violations reached",
-            self.violations.len() as u64,
-        );
-        c(
-            "mcapi_explicit_matchings_total",
-            "Distinct complete matchings observed",
-            self.matchings.len() as u64,
-        );
-        c(
-            "mcapi_explicit_truncated_total",
-            "Explorations stopped early by a state or depth limit",
-            u64::from(self.truncated),
-        );
-    }
-
     /// Render the matchings compactly (for experiment tables).
     pub fn render_matchings(&self) -> String {
         use std::fmt::Write;
@@ -105,9 +66,8 @@ impl ExploreResult {
 }
 
 /// The explicit layer's headline counters under their stable metric
-/// names. Shared by [`ExploreResult::record_metrics`] and the portfolio
-/// driver (which keeps only states/transitions per scenario) so the names
-/// cannot drift between the two reporters.
+/// names, for the portfolio driver's reporter (which keeps only
+/// states/transitions per scenario).
 pub fn record_exploration_counters(
     reg: &mut metrics::Registry,
     labels: &[(&str, &str)],

@@ -305,12 +305,6 @@ impl SmtSolver {
         self.sat.introspect()
     }
 
-    /// Report the solver's lifetime counters into `reg` under the stable
-    /// `mcapi_smt_*` metric names (see [`Stats::record`]).
-    pub fn record_metrics(&self, reg: &mut metrics::Registry, labels: &[(&str, &str)]) {
-        self.stats().record(reg, labels);
-    }
-
     /// Size of the generated SAT problem so far.
     pub fn num_sat_vars(&self) -> usize {
         self.sat.num_vars()

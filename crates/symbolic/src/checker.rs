@@ -4,8 +4,8 @@
 
 use crate::encode::{EncodeStats, UniqueScope};
 use crate::matchpairs::{overapprox_match_pairs, precise_match_pairs, MatchPairs};
-use crate::session::{CheckSession, PathSlot, SessionPool};
-use crate::witness::{decode_witness, decode_witness_with, replay_witness, ReplayVerdict, Witness};
+use crate::session::{CheckSession, SessionPool};
+use crate::witness::{decode_witness, replay_witness, ReplayVerdict, Witness};
 use mcapi::program::Program;
 use mcapi::runtime::execute_random;
 use mcapi::trace::{Trace, Violation};
@@ -35,8 +35,6 @@ pub struct CheckConfig {
     pub trace_seed: u64,
     /// Seeds tried to obtain a complete passing trace.
     pub trace_attempts: u64,
-    /// Validate witnesses by concrete replay.
-    pub validate: bool,
     /// Wall-clock budget for the solve/refine loop, in milliseconds.
     /// `None` means unbounded. When the budget runs out the verdict
     /// degrades to [`Verdict::Unknown`] rather than a wrong answer. The
@@ -60,7 +58,6 @@ impl Default for CheckConfig {
             max_refinements: 1000,
             trace_seed: 0,
             trace_attempts: 500,
-            validate: true,
             budget_ms: None,
             deadline: None,
         }
@@ -103,8 +100,7 @@ pub enum Verdict {
 #[derive(Clone, Debug)]
 pub struct ConfirmedViolation {
     pub witness: Witness,
-    /// The concrete assertion failure observed during replay (None when
-    /// validation was disabled).
+    /// The concrete assertion failure observed during replay, if any.
     pub violation: Option<Violation>,
     /// Messages of the violated properties under the model.
     pub violated_props: Vec<String>,
@@ -237,31 +233,11 @@ impl CheckReport {
             trace,
         }
     }
-
-    /// Report this check's counters into `reg` under the symbolic layer's
-    /// stable metric names (`mcapi_symbolic_*`), plus the solver delta via
-    /// [`smt::Stats::record`], tagged with `labels`.
-    pub fn record_metrics(&self, reg: &mut metrics::Registry, labels: &[(&str, &str)]) {
-        self.solver_stats.record(reg, labels);
-        self.solver_introspect.record(reg, labels);
-        self.timings.record(reg, labels);
-        record_check_counters(
-            reg,
-            labels,
-            self.sat_checks as u64,
-            self.refinements as u64,
-            self.paths_explored as u64,
-            self.paths_pruned as u64,
-            self.directed_transitions,
-            self.canonical_skipped,
-        );
-    }
 }
 
 /// The symbolic layer's per-check counters under their stable metric
-/// names. Shared by [`CheckReport::record_metrics`] and the portfolio
-/// driver (which keeps only the flattened counters per scenario) so the
-/// names cannot drift between the two reporters.
+/// names, for the portfolio driver's reporter (which keeps only the
+/// flattened counters per scenario).
 #[allow(clippy::too_many_arguments)]
 pub fn record_check_counters(
     reg: &mut metrics::Registry,
@@ -516,8 +492,8 @@ pub fn check_source(
             break;
         }
         let pairs = make_pairs(program, &st.trace, &cfg);
-        let (session, slot, reused) = pool.session_for_path(program, &st.trace, &pairs);
-        let mut report = check_in_session_at(session, slot, program, &st.trace, &cfg);
+        let (session, path, reused) = pool.session_for_path(program, &st.trace, &pairs);
+        let mut report = check_in_session_at(session, path, program, &st.trace, &cfg);
         report.matchgen_states = pairs.states_explored;
         report.matchgen_pairs = pairs.num_pairs();
         first_reuse.get_or_insert(reused);
@@ -621,20 +597,20 @@ fn violating_trace_verdict(trace: &Trace, branch_path: Option<String>) -> Verdic
     }))
 }
 
-/// Run the violation query for `(trace, cfg)` on one path slot of a
-/// shared session: the host trace or a sibling control-flow path attached
-/// to the shared core (`trace` must be the slot's own trace; it is used
-/// for witness replay). The delivery-model axiom group and negated-property
-/// group are activated by assumptions, refinement blocking clauses live in
-/// a solver scope popped on exit, and [`CheckConfig::budget_ms`] is
-/// plumbed into the solver as a per-check deadline so no single solve can
-/// overshoot the budget.
+/// Run the violation query for `(trace, cfg)` on one path of a shared
+/// session: path 0 is the trace the core was built from, further paths
+/// are attached sibling control-flow paths (`trace` must be the path's
+/// own trace; it is used for witness replay). The delivery-model axiom
+/// group and negated-property group are activated by assumptions,
+/// refinement blocking clauses live in a solver scope popped on exit,
+/// and [`CheckConfig::budget_ms`] is plumbed into the solver as a
+/// per-check deadline so no single solve can overshoot the budget.
 ///
 /// Match-pair cost counters are left at zero — the session owner knows
 /// whether pair generation was amortised.
 pub fn check_in_session_at(
     session: &mut CheckSession,
-    slot: PathSlot,
+    path: usize,
     program: &Program,
     trace: &Trace,
     cfg: &CheckConfig,
@@ -648,11 +624,9 @@ pub fn check_in_session_at(
     let group_build = Instant::now();
     let assumptions = {
         let _span = trace::span("symbolic.activate_groups");
-        session.assumptions_for(slot, cfg.delivery, true)
+        session.assumptions_for(path, cfg.delivery, true)
     };
     let encode_us = session.take_pending_encode_us() + group_build.elapsed().as_micros() as u64;
-    let slot_clocks: Vec<smt::TermId> = session.clocks_for(slot).to_vec();
-    let slot_props: Vec<crate::encode::PropTerm> = session.props_for(slot).to_vec();
     let enc = &mut session.enc;
     let stats_before = *enc.solver.stats();
     let introspect_before = enc.solver.introspect().clone();
@@ -685,16 +659,7 @@ pub fn check_in_session_at(
             }
             SatResult::Sat => {
                 let model = enc.solver.model().expect("model after SAT").clone();
-                let witness = decode_witness_with(enc, &model, &slot_clocks, &slot_props);
-                if !cfg.validate {
-                    let violated = witness.violated.clone();
-                    break Verdict::Violation(Box::new(ConfirmedViolation {
-                        witness,
-                        violation: None,
-                        violated_props: violated,
-                        branch_path: None,
-                    }));
-                }
+                let witness = decode_witness(enc, &model, path);
                 match replay_witness(program, trace, &witness, cfg.delivery) {
                     ReplayVerdict::Confirmed { violation, .. } => {
                         let violated = witness.violated.clone();
@@ -758,7 +723,7 @@ pub fn make_pairs(program: &Program, trace: &Trace, cfg: &CheckConfig) -> MatchP
 /// Result of enumerating all behaviours (matchings) of a trace.
 #[derive(Clone, Debug, Default)]
 pub struct MatchingEnumeration {
-    /// Confirmed matchings (validated by replay when enabled).
+    /// Confirmed matchings (validated by replay).
     pub matchings: BTreeSet<Matching>,
     /// Models rejected by replay (over-approximation artifacts).
     pub spurious: usize,
@@ -795,7 +760,7 @@ pub fn enumerate_matchings(
     let mut session = CheckSession::new(program, trace, &pairs, UniqueScope::default());
     // All-SAT on the positive-property group: every model is blocked (in a
     // query scope) until the formula runs dry or the limit is reached.
-    let assumptions = session.assumptions(cfg.delivery, false);
+    let assumptions = session.assumptions_for(0, cfg.delivery, false);
     let enc = &mut session.enc;
     let id_terms = enc.id_terms();
     let mut out = MatchingEnumeration::default();
@@ -821,17 +786,13 @@ pub fn enumerate_matchings(
                 }
                 let model = enc.solver.model().expect("model").clone();
                 let matching = enc.matching_from_model(&model);
-                let accept = if cfg.validate {
-                    let w = decode_witness(enc, &model);
-                    match replay_witness(program, trace, &w, cfg.delivery) {
-                        ReplayVerdict::Confirmed {
-                            complete,
-                            violation,
-                        } => complete && violation.is_none(),
-                        ReplayVerdict::Spurious { .. } => false,
-                    }
-                } else {
-                    true
+                let w = decode_witness(enc, &model, 0);
+                let accept = match replay_witness(program, trace, &w, cfg.delivery) {
+                    ReplayVerdict::Confirmed {
+                        complete,
+                        violation,
+                    } => complete && violation.is_none(),
+                    ReplayVerdict::Spurious { .. } => false,
                 };
                 if accept {
                     out.matchings.insert(matching);
@@ -865,7 +826,8 @@ impl TraceExt for Trace {
     fn concrete_matching_keys(&self) -> Matching {
         use mcapi::trace::EventKind;
         use mcapi::types::RecvKey;
-        let mut counts = vec![0usize; 64];
+        let threads = self.events.iter().map(|e| e.thread + 1).max().unwrap_or(0);
+        let mut counts = vec![0usize; threads];
         let mut m: Matching = Vec::new();
         for e in &self.events {
             if let EventKind::Recv { msg, .. } | EventKind::WaitRecv { msg, .. } = e.kind {
@@ -1057,6 +1019,39 @@ mod tests {
         assert_eq!(cv.witness.clocks, (0..n as i64).collect::<Vec<_>>());
         assert!(cv.witness.recv_values.is_empty());
         assert_eq!(cv.witness.violated, vec![v.message]);
+    }
+
+    #[test]
+    fn receives_beyond_thread_64_are_keyed() {
+        // 64 empty threads, then t64 sends 2 to t65, which asserts 1. The
+        // random trace violates on its own, so the witness keys t65's
+        // receive from the trace.
+        let mut b = ProgramBuilder::new("wide66");
+        for i in 0..64 {
+            b.thread(format!("t{i}"));
+        }
+        let sender = b.thread("t64");
+        let receiver = b.thread("t65");
+        let v = b.recv(receiver, 0);
+        b.assert_cond(
+            receiver,
+            Cond::cmp(CmpOp::Eq, Expr::Var(v), Expr::Const(1)),
+            "v is one",
+        );
+        b.send_const(sender, receiver, 0, 2);
+        let p = b.build().unwrap();
+        let report = check_program(&p, &CheckConfig::default());
+        assert!(
+            matches!(report.verdict, Verdict::Violation(_)),
+            "{:?}",
+            report.verdict
+        );
+        let paths = crate::paths::check_program_paths(&p, &crate::paths::PathsConfig::default());
+        assert!(
+            matches!(paths.verdict, Verdict::Violation(_)),
+            "{:?}",
+            paths.verdict
+        );
     }
 
     #[test]

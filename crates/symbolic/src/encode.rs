@@ -10,6 +10,12 @@
 //! SSA data flow; `PProp` collects the program's assertions, negated for
 //! violation queries.
 //!
+//! The per-path parts — event clocks, branch pins, local order chains and
+//! assertion terms — live in [`Encoding::paths`]. Path 0 is the trace
+//! [`encode_core`] was built from; [`Encoding::attach_path`] maps further
+//! control-flow paths with the same communication skeleton onto the shared
+//! core as paths 1, 2, ….
+//!
 //! All constraints are Boolean combinations of difference atoms, so the
 //! in-tree DPLL(T) solver ([`smt::SmtSolver`]) decides them exactly as
 //! Yices would for the paper.
@@ -118,45 +124,37 @@ pub struct EncodeStats {
     pub theory_atoms: usize,
 }
 
+/// One control-flow path's terms on an [`Encoding`]. Nothing here is
+/// asserted: [`encode`] asserts path 0's pins directly, while the session
+/// layer guards each path's pins and chains behind a path selector so
+/// every path shares one core (see [`crate::session::CheckSession`]).
+#[derive(Clone, Debug, Default)]
+pub struct PathTerms {
+    /// Clock term per event of the path's trace.
+    pub clocks: Vec<TermId>,
+    /// Branch-outcome pins (PEvents).
+    pub pins: Vec<TermId>,
+    /// Program-order chain terms involving the path's local events (empty
+    /// for path 0, whose chains are part of the core).
+    pub chains: Vec<TermId>,
+    /// Assertion properties under the path's own SSA data flow.
+    pub props: Vec<PropTerm>,
+}
+
 /// The generated SMT problem plus decoding tables.
 pub struct Encoding {
     pub solver: SmtSolver,
     pub sends: Vec<SendVar>,
     pub recvs: Vec<RecvVar>,
-    pub prop_terms: Vec<PropTerm>,
-    /// Clock term per trace event index.
-    pub event_clocks: Vec<TermId>,
-    /// The host trace's branch-outcome pins (PEvents), collected but not
-    /// asserted: the one-shot [`encode`] asserts them directly, while the
-    /// session layer guards them behind a path selector so sibling
-    /// control-flow paths can share this core (see
-    /// [`crate::session::CheckSession`]).
-    pub branch_terms: Vec<TermId>,
-    /// Per-thread event indices of the host trace's communication events,
-    /// used to map sibling-path traces onto the shared clock variables.
+    /// Per-path terms; path 0 is the trace the core was built from.
+    pub paths: Vec<PathTerms>,
+    /// Per-thread event indices of path 0's communication events, used to
+    /// map further paths' traces onto the shared clock variables.
     comm_event_idx: Vec<Vec<usize>>,
     pub stats: EncodeStats,
 }
 
-/// A sibling control-flow path mapped onto an existing core encoding: the
-/// communication skeleton (sends, receives, match pairs, uniqueness,
-/// delivery axioms) is shared; only what is listed here differs per path.
-/// Nothing is asserted yet — the session layer asserts `pins` and `chains`
-/// guarded by a fresh path selector.
-pub struct PathAttachment {
-    /// Clock term per event of the sibling trace (host clocks for
-    /// communication events, fresh variables for local events).
-    pub clocks: Vec<TermId>,
-    /// The sibling's branch-outcome pins (PEvents), unasserted.
-    pub pins: Vec<TermId>,
-    /// Program-order chain terms involving the sibling's local events,
-    /// unasserted.
-    pub chains: Vec<TermId>,
-    /// The sibling's assertion properties under its own SSA data flow.
-    pub props: Vec<PropTerm>,
-}
-
-/// Why a sibling trace could not be attached to an existing core.
+/// Why a trace could not be attached to an existing core as a further path.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PathAttachError {
     /// The communication skeletons differ (event kind/pc mismatch).
@@ -187,13 +185,13 @@ impl Encoding {
         )
     }
 
-    /// The property side of the query as a single term: `negate = true`
-    /// yields "some assertion is violated" (the paper's violation query),
-    /// `negate = false` yields "every assertion holds" (behaviour
+    /// One path's property side of the query as a single term: `negate =
+    /// true` yields "some assertion is violated" (the paper's violation
+    /// query), `negate = false` yields "every assertion holds" (behaviour
     /// enumeration). Not asserted — callers assert it directly or guard it
     /// behind a selector.
-    pub fn props_term(&mut self, negate: bool) -> TermId {
-        let terms: Vec<TermId> = self.prop_terms.iter().map(|p| p.term).collect();
+    pub fn props_term(&mut self, path: usize, negate: bool) -> TermId {
+        let terms: Vec<TermId> = self.paths[path].props.iter().map(|p| p.term).collect();
         if negate {
             let negs: Vec<TermId> = terms.into_iter().map(|t| self.solver.not(t)).collect();
             self.solver.or(negs) // empty -> false: nothing to violate
@@ -226,21 +224,22 @@ impl Encoding {
         self.stats.theory_atoms = self.solver.num_theory_atoms();
     }
 
-    /// Map a sibling control-flow path's trace onto this core encoding.
+    /// Map another control-flow path's trace onto this core encoding and
+    /// return its path index.
     ///
-    /// The sibling must issue the same communication operations from the
-    /// same program counters as the host trace
+    /// The trace must issue the same communication operations from the
+    /// same program counters as path 0
     /// ([`mcapi::trace::Trace::comm_signature`] equality is the caller's
-    /// cheap pre-filter); this walk re-derives the sibling's SSA data flow
-    /// and verifies every send's symbolic payload coincides with the
-    /// host's (terms are hash-consed, so structural equality is `TermId`
-    /// equality). On success nothing is asserted — the caller guards the
-    /// returned pins and chains behind a path selector.
-    pub fn build_path_attachment(
+    /// cheap pre-filter); this walk re-derives the trace's SSA data flow
+    /// and verifies every send's symbolic payload coincides with path 0's
+    /// (terms are hash-consed, so structural equality is `TermId`
+    /// equality). On success the new path's terms are pushed unasserted —
+    /// the caller guards its pins and chains behind a path selector.
+    pub fn attach_path(
         &mut self,
         program: &Program,
         trace: &Trace,
-    ) -> Result<PathAttachment, PathAttachError> {
+    ) -> Result<usize, PathAttachError> {
         let n = program.threads.len();
         if self.comm_event_idx.len() != n {
             return Err(PathAttachError::SkeletonMismatch);
@@ -266,11 +265,9 @@ impl Encoding {
         let mut comm_pos = vec![0usize; n];
         let mut recv_counts = vec![0usize; n];
         let mut prev_clock: Vec<Option<TermId>> = vec![None; n];
-        let mut att = PathAttachment {
+        let mut path = PathTerms {
             clocks: Vec::with_capacity(trace.events.len()),
-            pins: Vec::new(),
-            chains: Vec::new(),
-            props: Vec::new(),
+            ..PathTerms::default()
         };
         for ev in &trace.events {
             let t = ev.thread;
@@ -287,29 +284,29 @@ impl Encoding {
                     | EventKind::WaitNoop { .. }
             );
             let clock = if is_comm {
-                // Reuse the host's clock variable for the aligned
+                // Reuse path 0's clock variable for the aligned
                 // communication event.
-                let &host_idx = self
+                let &core_idx = self
                     .comm_event_idx
                     .get(t)
                     .and_then(|v| v.get(comm_pos[t]))
                     .ok_or(PathAttachError::SkeletonMismatch)?;
                 comm_pos[t] += 1;
-                self.event_clocks[host_idx]
+                self.paths[0].clocks[core_idx]
             } else {
                 self.solver
-                    .int_var(format!("clk_path_e{}_t{t}", att.clocks.len()))
+                    .int_var(format!("clk_path_e{}_t{t}", path.clocks.len()))
             };
             if let Some(prev) = prev_clock[t] {
-                // Chain the sibling's per-thread order; redundant for
-                // comm-comm pairs (implied by the host's own chains) but
+                // Chain the path's per-thread order; redundant for
+                // comm-comm pairs (implied by path 0's own chains) but
                 // required wherever a fresh local clock is involved.
                 let c = self.solver.lt(prev, clock);
-                att.chains.push(c);
+                path.chains.push(c);
                 self.stats.order_constraints += 1;
             }
             prev_clock[t] = Some(clock);
-            att.clocks.push(clock);
+            path.clocks.push(clock);
             match &ev.kind {
                 EventKind::Send { msg, .. } => {
                     let value_expr = match &instr {
@@ -346,7 +343,7 @@ impl Encoding {
                     };
                     let c = cond_term(&mut self.solver, &env[t], cond);
                     let pinned = if *taken { c } else { self.solver.not(c) };
-                    att.pins.push(pinned);
+                    path.pins.push(pinned);
                     self.stats.event_constraints += 1;
                 }
                 EventKind::AssertOk | EventKind::AssertFail { .. } => {
@@ -354,7 +351,7 @@ impl Encoding {
                         return Err(PathAttachError::SkeletonMismatch);
                     };
                     let term = cond_term(&mut self.solver, &env[t], cond);
-                    att.props.push(PropTerm {
+                    path.props.push(PropTerm {
                         term,
                         message: message.clone(),
                         thread: t,
@@ -363,14 +360,15 @@ impl Encoding {
                 }
             }
         }
-        // Every host communication event must have been consumed, or the
-        // sibling is a different skeleton.
+        // Every communication event of path 0 must have been consumed, or
+        // the trace is a different skeleton.
         for (t, pos) in comm_pos.iter().enumerate() {
             if *pos != self.comm_event_idx[t].len() {
                 return Err(PathAttachError::SkeletonMismatch);
             }
         }
-        Ok(att)
+        self.paths.push(path);
+        Ok(self.paths.len() - 1)
     }
 
     /// Decode the match choice of a model into a canonical matching.
@@ -449,20 +447,21 @@ pub fn encode(
     opts: EncodeOptions,
 ) -> Encoding {
     let mut enc = encode_core(program, trace, pairs, opts.unique_scope);
-    let pins = enc.branch_terms.clone();
+    let pins = enc.paths[0].pins.clone();
     enc.assert_terms(pins);
     let axioms = enc.delivery_axioms(opts.delivery);
     enc.assert_terms(axioms);
-    let props = enc.props_term(opts.negate_props);
+    let props = enc.props_term(0, opts.negate_props);
     enc.assert_terms([props]);
     enc.refresh_size_stats();
     enc
 }
 
 /// Build the delivery-model-independent core of the encoding:
-/// `POrder(program order) /\ PMatchPairs /\ PUnique /\ PEvents`, with the
-/// assertion properties collected but not yet asserted. Every delivery
-/// model and both property polarities share this core.
+/// `POrder(program order) /\ PMatchPairs /\ PUnique`, with the trace's
+/// branch pins and assertion properties collected as path 0 but not yet
+/// asserted. Every delivery model, both property polarities and every
+/// attached path share this core.
 pub fn encode_core(
     program: &Program,
     trace: &Trace,
@@ -485,9 +484,10 @@ pub fn encode_core(
 
     let mut sends: Vec<SendVar> = Vec::new();
     let mut recvs: Vec<RecvVar> = Vec::new();
-    let mut prop_terms: Vec<PropTerm> = Vec::new();
-    let mut branch_terms: Vec<TermId> = Vec::new();
-    let mut event_clocks: Vec<TermId> = Vec::with_capacity(trace.events.len());
+    let mut path = PathTerms {
+        clocks: Vec::with_capacity(trace.events.len()),
+        ..PathTerms::default()
+    };
     let mut comm_event_idx: Vec<Vec<usize>> = vec![Vec::new(); n];
 
     // ---- walk the trace: clocks, POrder (program order), PEvents ----
@@ -500,7 +500,7 @@ pub fn encode_core(
             stats.order_constraints += 1;
         }
         prev_clock[t] = Some(clock);
-        event_clocks.push(clock);
+        path.clocks.push(clock);
         if matches!(
             ev.kind,
             EventKind::Send { .. }
@@ -580,7 +580,7 @@ pub fn encode_core(
                 // sessions guard them behind a path selector.
                 let c = cond_term(&mut solver, &env[t], cond);
                 let pinned = if *taken { c } else { solver.not(c) };
-                branch_terms.push(pinned);
+                path.pins.push(pinned);
                 stats.event_constraints += 1;
             }
             EventKind::AssertOk | EventKind::AssertFail { .. } => {
@@ -588,7 +588,7 @@ pub fn encode_core(
                     panic!("assert event at non-assert instruction");
                 };
                 let term = cond_term(&mut solver, &env[t], cond);
-                prop_terms.push(PropTerm {
+                path.props.push(PropTerm {
                     term,
                     message: message.clone(),
                     thread: t,
@@ -636,7 +636,7 @@ pub fn encode_core(
         }
     }
 
-    stats.props = prop_terms.len();
+    stats.props = path.props.len();
     stats.sat_vars = solver.num_sat_vars();
     stats.sat_clauses = solver.num_sat_clauses();
     stats.theory_atoms = solver.num_theory_atoms();
@@ -645,9 +645,7 @@ pub fn encode_core(
         solver,
         sends,
         recvs,
-        prop_terms,
-        event_clocks,
-        branch_terms,
+        paths: vec![path],
         comm_event_idx,
         stats,
     }

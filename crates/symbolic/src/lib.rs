@@ -83,5 +83,5 @@ pub use checker::{
 pub use encode::{encode, EncodeOptions, EncodeStats, Encoding};
 pub use matchpairs::{overapprox_match_pairs, precise_match_pairs, MatchPairs};
 pub use paths::{check_program_paths, PathEnumerator, PathsConfig};
-pub use session::{CheckSession, PathSlot, SessionPool};
+pub use session::{CheckSession, SessionPool};
 pub use witness::{replay_witness, ReplayVerdict, Witness};

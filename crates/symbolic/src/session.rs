@@ -14,15 +14,17 @@
 //! exactly one group per kind via `check_assuming`, and learned clauses
 //! carry over between queries.
 //!
-//! **Paths as first-class groups.** The host trace's branch pins (the
-//! paper's `PEvents` outcome constraints) are no longer hard-asserted:
-//! they live behind a host path selector, and *sibling* paths of the same
-//! program — traces that issue the identical communication operations but
-//! resolve branches differently — attach their own pins, local-event
-//! order chains and assertion terms behind their own selectors
-//! ([`crate::encode::Encoding::build_path_attachment`]). Sibling paths
-//! thus reuse the expensive shared core (match disjunctions, uniqueness,
-//! delivery axioms, learned clauses) instead of re-encoding per path.
+//! **Paths as first-class groups.** A session's paths are the entries of
+//! [`Encoding::paths`], and a query names one by index. Path 0 is the trace
+//! the core was built from; its branch pins (the paper's `PEvents` outcome
+//! constraints) live behind a path selector rather than being
+//! hard-asserted. Further paths of the same program — traces that issue
+//! the identical communication operations but resolve branches
+//! differently — attach their own pins, local-event order chains and
+//! assertion terms behind their own selectors
+//! ([`crate::encode::Encoding::attach_path`]), and so reuse the expensive
+//! shared core (match disjunctions, uniqueness, delivery axioms, learned
+//! clauses) instead of re-encoding per path.
 //!
 //! Per-query state (refinement blocking clauses, all-SAT enumeration
 //! blocks) lives in a solver *scope* ([`smt::SmtSolver::push_scope`]):
@@ -39,31 +41,18 @@
 use crate::encode::{encode_core, Encoding, PathAttachError, UniqueScope};
 use crate::matchpairs::MatchPairs;
 use mcapi::program::Program;
-use mcapi::trace::{CommSig, Trace};
+use mcapi::trace::{CommSig, Event, Trace};
 use mcapi::types::DeliveryModel;
 use smt::TermId;
 
-/// Which attached control-flow path a query runs against: the session's
-/// host trace, or a sibling attached by
-/// [`CheckSession::attach_sibling_path`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PathSlot {
-    /// The trace the core encoding was built from.
-    Host,
-    /// The `i`-th attached sibling path.
-    Sibling(usize),
-}
-
-/// One sibling path's groups on a shared session.
-struct SiblingEntry {
-    /// Clock term per sibling-trace event (for witness decoding).
-    clocks: Vec<TermId>,
-    /// The sibling's assertion properties.
-    props: Vec<crate::encode::PropTerm>,
-    /// Selector guarding the sibling's pins and order chains.
-    sel: TermId,
-    /// Property polarity selectors for this sibling, built lazily.
-    prop_sels: Vec<(bool, TermId)>,
+/// The selectors of one path's groups on a session.
+struct PathSels {
+    /// Guards the path's pins and order chains (`None` for a path 0
+    /// without branch pins: there is nothing to guard).
+    pins: Option<TermId>,
+    /// Property polarity selectors, built lazily (`true` = negated
+    /// properties, the violation query).
+    props: Vec<(bool, TermId)>,
 }
 
 /// A shared-encoding solver session; see the module docs.
@@ -72,25 +61,19 @@ pub struct CheckSession {
     pub enc: Encoding,
     /// Selector literal per delivery-model axiom group built so far.
     delivery_sels: Vec<(DeliveryModel, TermId)>,
-    /// Selector literal per host property polarity built so far
-    /// (`true` = negated properties, the violation query).
-    prop_sels: Vec<(bool, TermId)>,
-    /// Selector guarding the host trace's branch pins (`None` when the
-    /// program is branch-free and there is nothing to pin).
-    host_pin_sel: Option<TermId>,
-    /// Sibling control-flow paths attached to this session.
-    siblings: Vec<SiblingEntry>,
+    /// Selectors per path, parallel to `enc.paths`.
+    path_sels: Vec<PathSels>,
     /// Wall-clock µs spent building the core encoding and attaching
-    /// sibling path groups, not yet attributed to a query (drained by
+    /// further paths, not yet attributed to a query (drained by
     /// [`CheckSession::take_pending_encode_us`]).
     pending_encode_us: u64,
 }
 
 impl CheckSession {
-    /// Build the delivery-independent core for `(trace, pairs)`. Axiom
-    /// groups are attached lazily by the first query that needs them; the
-    /// host trace's branch pins are asserted immediately, guarded by the
-    /// host path selector.
+    /// Build the delivery-independent core for `(trace, pairs)`, with the
+    /// trace as path 0. Axiom groups are attached lazily by the first query
+    /// that needs them; path 0's branch pins are asserted immediately,
+    /// guarded by its path selector.
     pub fn new(
         program: &Program,
         trace: &Trace,
@@ -103,64 +86,65 @@ impl CheckSession {
         span.arg("sat_vars", enc.solver.num_sat_vars() as u64)
             .arg("sat_clauses", enc.solver.num_sat_clauses() as u64);
         drop(span);
-        let host_pin_sel = if enc.branch_terms.is_empty() {
-            None
-        } else {
-            let sel = enc.solver.bool_var("sel_path_host");
-            let pins = enc.branch_terms.clone();
+        let pins = (!enc.paths[0].pins.is_empty()).then(|| {
+            let sel = enc.solver.bool_var("sel_path_0");
+            let pins = enc.paths[0].pins.clone();
             enc.assert_guarded(sel, pins);
-            Some(sel)
-        };
+            sel
+        });
         CheckSession {
             enc,
             delivery_sels: Vec::new(),
-            prop_sels: Vec::new(),
-            host_pin_sel,
-            siblings: Vec::new(),
+            path_sels: vec![PathSels {
+                pins,
+                props: Vec::new(),
+            }],
             pending_encode_us: built.elapsed().as_micros() as u64,
         }
     }
 
     /// Encoding-build time accumulated since the last call, in µs. The
-    /// query that triggered a core build or sibling attachment drains and
+    /// query that triggered a core build or path attachment drains and
     /// reports it as its encode phase, so shared-session followers report
     /// (correctly) near-zero encode time.
     pub fn take_pending_encode_us(&mut self) -> u64 {
         std::mem::take(&mut self.pending_encode_us)
     }
 
-    /// Attach a sibling control-flow path (same program, same
-    /// communication skeleton, different branch outcomes) to this
-    /// session. Its pins and local order chains are asserted guarded by a
-    /// fresh selector; queries against it go through
-    /// [`CheckSession::assumptions_for`] with the returned slot.
-    pub fn attach_sibling_path(
+    /// Attach another control-flow path (same program, same communication
+    /// skeleton, different branch outcomes) to this session and return its
+    /// path index. Its pins and local order chains are asserted guarded by
+    /// a fresh selector.
+    pub fn attach_path(
         &mut self,
         program: &Program,
         trace: &Trace,
-    ) -> Result<PathSlot, PathAttachError> {
+    ) -> Result<usize, PathAttachError> {
+        self.assert_outside_scopes();
+        let built = std::time::Instant::now();
+        let _span = trace::span("symbolic.attach_path");
+        let path = self.enc.attach_path(program, trace)?;
+        let sel = self.enc.solver.bool_var(format!("sel_path_{path}"));
+        let terms = &self.enc.paths[path];
+        let guarded: Vec<TermId> = terms.chains.iter().chain(&terms.pins).copied().collect();
+        self.enc.assert_guarded(sel, guarded);
+        self.path_sels.push(PathSels {
+            pins: Some(sel),
+            props: Vec::new(),
+        });
+        self.pending_encode_us += built.elapsed().as_micros() as u64;
+        Ok(path)
+    }
+
+    /// Groups are permanent, so they must be built outside per-query
+    /// scopes: clauses added inside a scope die at the pop while the
+    /// selector would stay registered.
+    fn assert_outside_scopes(&self) {
         assert_eq!(
             self.enc.solver.num_scopes(),
             0,
-            "path groups must be built outside per-query scopes"
+            "axiom groups must be built outside per-query scopes"
         );
-        let built = std::time::Instant::now();
-        let _span = trace::span("symbolic.attach_path");
-        let att = self.enc.build_path_attachment(program, trace)?;
-        let sel = self
-            .enc
-            .solver
-            .bool_var(format!("sel_path_{}", self.siblings.len()));
-        self.enc.assert_guarded(sel, att.chains);
-        self.enc.assert_guarded(sel, att.pins);
-        self.siblings.push(SiblingEntry {
-            clocks: att.clocks,
-            props: att.props,
-            sel,
-            prop_sels: Vec::new(),
-        });
-        self.pending_encode_us += built.elapsed().as_micros() as u64;
-        Ok(PathSlot::Sibling(self.siblings.len() - 1))
     }
 
     /// The selector guarding `delivery`'s axiom group, building the group
@@ -169,13 +153,7 @@ impl CheckSession {
         if let Some(&(_, sel)) = self.delivery_sels.iter().find(|(d, _)| *d == delivery) {
             return sel;
         }
-        assert_eq!(
-            self.enc.solver.num_scopes(),
-            0,
-            "axiom groups must be built outside per-query scopes: clauses \
-             added inside a scope die at the pop while the selector would \
-             stay registered"
-        );
+        self.assert_outside_scopes();
         let sel = self.enc.solver.bool_var(format!("sel_delivery_{delivery}"));
         let axioms = self.enc.delivery_axioms(delivery);
         self.enc.assert_guarded(sel, axioms);
@@ -183,110 +161,64 @@ impl CheckSession {
         sel
     }
 
-    /// The selector guarding one property polarity of one path slot,
-    /// building it on first use.
-    fn prop_selector(&mut self, slot: PathSlot, negate_props: bool) -> TermId {
-        let existing = match slot {
-            PathSlot::Host => self.prop_sels.iter(),
-            PathSlot::Sibling(i) => self.siblings[i].prop_sels.iter(),
-        }
-        .find(|(n, _)| *n == negate_props)
-        .map(|&(_, sel)| sel);
-        if let Some(sel) = existing {
+    /// The selector guarding one property polarity of one path, building
+    /// it on first use.
+    fn prop_selector(&mut self, path: usize, negate_props: bool) -> TermId {
+        let sels = &self.path_sels[path].props;
+        if let Some(&(_, sel)) = sels.iter().find(|(n, _)| *n == negate_props) {
             return sel;
         }
-        assert_eq!(
-            self.enc.solver.num_scopes(),
-            0,
-            "axiom groups must be built outside per-query scopes: clauses \
-             added inside a scope die at the pop while the selector would \
-             stay registered"
-        );
+        self.assert_outside_scopes();
         let polarity = if negate_props { "negated" } else { "positive" };
-        match slot {
-            PathSlot::Host => {
-                let sel = self.enc.solver.bool_var(format!("sel_props_{polarity}"));
-                let props = self.enc.props_term(negate_props);
-                self.enc.assert_guarded(sel, [props]);
-                self.prop_sels.push((negate_props, sel));
-                sel
-            }
-            PathSlot::Sibling(i) => {
-                let sel = self
-                    .enc
-                    .solver
-                    .bool_var(format!("sel_props_path{i}_{polarity}"));
-                let terms: Vec<TermId> = self.siblings[i].props.iter().map(|p| p.term).collect();
-                let group = if negate_props {
-                    let negs: Vec<TermId> =
-                        terms.into_iter().map(|t| self.enc.solver.not(t)).collect();
-                    self.enc.solver.or(negs)
-                } else {
-                    self.enc.solver.and(terms)
-                };
-                self.enc.assert_guarded(sel, [group]);
-                self.siblings[i].prop_sels.push((negate_props, sel));
-                sel
-            }
-        }
+        let sel = self
+            .enc
+            .solver
+            .bool_var(format!("sel_props_path{path}_{polarity}"));
+        let props = self.enc.props_term(path, negate_props);
+        self.enc.assert_guarded(sel, [props]);
+        self.path_sels[path].props.push((negate_props, sel));
+        sel
     }
 
-    /// Assumption set activating exactly the `(delivery, negate_props)`
-    /// query against the host path — the pre-paths API, unchanged.
-    pub fn assumptions(&mut self, delivery: DeliveryModel, negate_props: bool) -> Vec<TermId> {
-        self.assumptions_for(PathSlot::Host, delivery, negate_props)
-    }
-
-    /// Assumption set that activates exactly the `(slot, delivery,
+    /// Assumption set that activates exactly the `(path, delivery,
     /// negate_props)` query: the chosen selectors assumed true, every
     /// other built group assumed **false** so its clauses are satisfied up
     /// front and cost nothing during search.
     pub fn assumptions_for(
         &mut self,
-        slot: PathSlot,
+        path: usize,
         delivery: DeliveryModel,
         negate_props: bool,
     ) -> Vec<TermId> {
         let d_on = self.delivery_selector(delivery);
-        let p_on = self.prop_selector(slot, negate_props);
-        let path_on = match slot {
-            PathSlot::Host => self.host_pin_sel,
-            PathSlot::Sibling(i) => Some(self.siblings[i].sel),
-        };
+        let p_on = self.prop_selector(path, negate_props);
         let mut offs: Vec<TermId> = self
             .delivery_sels
             .iter()
             .filter(|(d, _)| *d != delivery)
             .map(|&(_, s)| s)
             .collect();
-        // Polarity groups of the active slot (other polarity) and of every
-        // other slot (both polarities).
-        let host_active = slot == PathSlot::Host;
-        offs.extend(
-            self.prop_sels
-                .iter()
-                .filter(|(n, _)| !host_active || *n != negate_props)
-                .map(|&(_, s)| s),
-        );
-        for (i, sib) in self.siblings.iter().enumerate() {
-            let active = slot == PathSlot::Sibling(i);
+        // Polarity groups of the active path (other polarity) and of every
+        // other path (both polarities), then the other paths' pins.
+        // Assumption order steers the SAT core's trail reuse and so its
+        // counters, which the perf gate pins: path 0's pin selector goes
+        // last.
+        for (i, sels) in self.path_sels.iter().enumerate() {
             offs.extend(
-                sib.prop_sels
+                sels.props
                     .iter()
-                    .filter(|(n, _)| !active || *n != negate_props)
+                    .filter(|(n, _)| i != path || *n != negate_props)
                     .map(|&(_, s)| s),
             );
-            if !active {
-                offs.push(sib.sel);
+            if i != 0 && i != path {
+                offs.extend(sels.pins);
             }
         }
-        if !host_active {
-            if let Some(sel) = self.host_pin_sel {
-                offs.push(sel);
-            }
+        if path != 0 {
+            offs.extend(self.path_sels[0].pins);
         }
         let mut assumptions = vec![d_on, p_on];
-        assumptions.extend(path_on);
+        assumptions.extend(self.path_sels[path].pins);
         for s in offs {
             let ns = self.enc.solver.not(s);
             assumptions.push(ns);
@@ -295,26 +227,10 @@ impl CheckSession {
         assumptions
     }
 
-    /// Clock terms of one path slot's trace events (for witness decoding).
-    pub fn clocks_for(&self, slot: PathSlot) -> &[TermId] {
-        match slot {
-            PathSlot::Host => &self.enc.event_clocks,
-            PathSlot::Sibling(i) => &self.siblings[i].clocks,
-        }
-    }
-
-    /// Property terms of one path slot (for witness decoding).
-    pub fn props_for(&self, slot: PathSlot) -> &[crate::encode::PropTerm] {
-        match slot {
-            PathSlot::Host => &self.enc.prop_terms,
-            PathSlot::Sibling(i) => &self.siblings[i].props,
-        }
-    }
-
-    /// Number of axiom groups (delivery models + host polarities) built so
-    /// far; sibling-path groups are not counted.
+    /// Number of axiom groups (delivery models + path 0's polarities)
+    /// built so far; other paths' groups are not counted.
     pub fn groups_built(&self) -> usize {
-        self.delivery_sels.len() + self.prop_sels.len()
+        self.delivery_sels.len() + self.path_sels[0].props.len()
     }
 }
 
@@ -337,12 +253,11 @@ pub struct SessionPool {
 
 struct PoolEntry {
     program: Program,
-    trace: Trace,
     pairs: MatchPairs,
     comm_sig: Vec<Vec<CommSig>>,
-    /// Event lists of attached sibling paths, parallel to the session's
-    /// sibling slots.
-    sibling_events: Vec<Vec<mcapi::trace::Event>>,
+    /// Event list per path, parallel to the session's paths (path 0 is the
+    /// trace the core was built from).
+    path_events: Vec<Vec<Event>>,
     session: CheckSession,
 }
 
@@ -363,57 +278,55 @@ impl SessionPool {
     }
 
     /// Fetch the session for `(program, trace, pairs)`, building it on a
-    /// miss. Returns the session, the path slot to query, and whether an
-    /// existing encoding was reused.
+    /// miss. Returns the session, the index of the path to query, and
+    /// whether an existing encoding was reused.
     ///
     /// Sharing is keyed on the program (the encoder reads payload
     /// expressions, branch and assertion conditions from it — trace events
     /// alone don't carry those), the pair sets, and the trace: an exact
-    /// match on the host trace's (or an attached sibling's) *events* reuses
-    /// that slot — two delivery models frequently produce the same
-    /// schedule — and otherwise a session whose trace has the same
-    /// communication skeleton is reused by attaching this trace as a
-    /// sibling control-flow path.
+    /// match on the *events* of one of a session's paths reuses that path —
+    /// two delivery models frequently produce the same schedule — and
+    /// otherwise a session whose trace has the same communication skeleton
+    /// is reused by attaching this trace as a further path.
     pub fn session_for_path(
         &mut self,
         program: &Program,
         trace: &Trace,
         pairs: &MatchPairs,
-    ) -> (&mut CheckSession, PathSlot, bool) {
+    ) -> (&mut CheckSession, usize, bool) {
         if self.one_shot {
             self.entries.clear();
             let i = self.build_entry(program, trace, pairs);
-            return (&mut self.entries[i].session, PathSlot::Host, false);
+            return (&mut self.entries[i].session, 0, false);
         }
-        // Exact host or sibling match first.
+        let shares = |e: &PoolEntry| e.program == *program && e.pairs.sends_for == pairs.sends_for;
+        // Exact path match first.
         for (i, e) in self.entries.iter().enumerate() {
-            if e.program != *program || e.pairs.sends_for != pairs.sends_for {
+            if !shares(e) {
                 continue;
             }
-            if e.trace.events == trace.events {
-                return (&mut self.entries[i].session, PathSlot::Host, true);
-            }
-            if let Some(j) = e.sibling_events.iter().position(|ev| *ev == trace.events) {
-                return (&mut self.entries[i].session, PathSlot::Sibling(j), true);
+            if let Some(path) = e.path_events.iter().position(|ev| *ev == trace.events) {
+                return (&mut self.entries[i].session, path, true);
             }
         }
-        // Comm-skeleton match: attach as a sibling path.
+        // Comm-skeleton match: attach as a further path.
         let sig = trace.comm_signature(program.threads.len());
-        let found = self.entries.iter().position(|e| {
-            e.program == *program && e.pairs.sends_for == pairs.sends_for && e.comm_sig == sig
-        });
-        if let Some(i) = found {
-            let attach = self.entries[i].session.attach_sibling_path(program, trace);
-            if let Ok(slot) = attach {
-                self.entries[i].sibling_events.push(trace.events.clone());
-                self.paths_attached += 1;
-                return (&mut self.entries[i].session, slot, true);
-            }
-            // Attachment refused (e.g. a branch arm feeds a send): fall
+        if let Some(i) = self
+            .entries
+            .iter()
+            .position(|e| shares(e) && e.comm_sig == sig)
+        {
+            let e = &mut self.entries[i];
+            // A refused attachment (e.g. a branch arm feeds a send) falls
             // through to a fresh encoding, which is always sound.
+            if let Ok(path) = e.session.attach_path(program, trace) {
+                e.path_events.push(trace.events.clone());
+                self.paths_attached += 1;
+                return (&mut self.entries[i].session, path, true);
+            }
         }
         let i = self.build_entry(program, trace, pairs);
-        (&mut self.entries[i].session, PathSlot::Host, false)
+        (&mut self.entries[i].session, 0, false)
     }
 
     fn build_entry(&mut self, program: &Program, trace: &Trace, pairs: &MatchPairs) -> usize {
@@ -421,10 +334,9 @@ impl SessionPool {
         let session = CheckSession::new(program, trace, pairs, UniqueScope::default());
         self.entries.push(PoolEntry {
             program: program.clone(),
-            trace: trace.clone(),
             pairs: pairs.clone(),
             comm_sig: trace.comm_signature(program.threads.len()),
-            sibling_events: Vec::new(),
+            path_events: vec![trace.events.clone()],
             session,
         });
         self.entries.len() - 1
@@ -446,6 +358,7 @@ mod tests {
     use super::*;
     use crate::checker::{generate_trace, CheckConfig};
     use crate::matchpairs::{overapprox_match_pairs, precise_match_pairs};
+    use crate::witness::{decode_witness, replay_witness, ReplayVerdict};
     use smt::SatResult;
 
     fn fig1() -> Program {
@@ -479,7 +392,7 @@ mod tests {
         // fig1 has no assertions: the violation query is UNSAT under every
         // delivery model, from one shared encoding.
         for delivery in mcapi::types::DeliveryModel::ALL {
-            let assumptions = session.assumptions(delivery, true);
+            let assumptions = session.assumptions_for(0, delivery, true);
             assert_eq!(
                 session.enc.solver.check_assuming(&assumptions),
                 SatResult::Unsat,
@@ -500,19 +413,19 @@ mod tests {
         let trace = generate_trace(&p, &cfg);
         let pairs = precise_match_pairs(&p, &trace, DeliveryModel::Unordered);
         let mut session = CheckSession::new(&p, &trace, &pairs, UniqueScope::default());
-        let violation = session.assumptions(DeliveryModel::Unordered, true);
+        let violation = session.assumptions_for(0, DeliveryModel::Unordered, true);
         assert_eq!(
             session.enc.solver.check_assuming(&violation),
             SatResult::Unsat
         );
         // Behaviour enumeration (positive properties) on the same solver.
-        let behaviours = session.assumptions(DeliveryModel::Unordered, false);
+        let behaviours = session.assumptions_for(0, DeliveryModel::Unordered, false);
         assert_eq!(
             session.enc.solver.check_assuming(&behaviours),
             SatResult::Sat
         );
         // And back: the polarity groups do not poison one another.
-        let violation = session.assumptions(DeliveryModel::Unordered, true);
+        let violation = session.assumptions_for(0, DeliveryModel::Unordered, true);
         assert_eq!(
             session.enc.solver.check_assuming(&violation),
             SatResult::Unsat
@@ -527,10 +440,10 @@ mod tests {
         let over = overapprox_match_pairs(&p, &trace);
         let precise = precise_match_pairs(&p, &trace, DeliveryModel::Unordered);
         let mut pool = SessionPool::new();
-        let (_, slot, reused) = pool.session_for_path(&p, &trace, &over);
-        assert_eq!((slot, reused), (PathSlot::Host, false));
-        let (_, slot, reused) = pool.session_for_path(&p, &trace, &over);
-        assert_eq!(slot, PathSlot::Host);
+        let (_, path, reused) = pool.session_for_path(&p, &trace, &over);
+        assert_eq!((path, reused), (0, false));
+        let (_, path, reused) = pool.session_for_path(&p, &trace, &over);
+        assert_eq!(path, 0);
         assert!(reused, "identical (trace, pairs) must share");
         // fig1's precise and over-approximate pair sets coincide, so the
         // generators share one session too.
@@ -548,8 +461,8 @@ mod tests {
         let pairs = overapprox_match_pairs(&p, &trace);
         let mut pool = SessionPool::one_shot();
         for _ in 0..2 {
-            let (_, slot, reused) = pool.session_for_path(&p, &trace, &pairs);
-            assert_eq!((slot, reused), (PathSlot::Host, false));
+            let (_, path, reused) = pool.session_for_path(&p, &trace, &pairs);
+            assert_eq!((path, reused), (0, false));
         }
         assert_eq!(pool.encodings_built, 2);
         assert_eq!(pool.len(), 1, "the previous session is dropped");
@@ -617,17 +530,17 @@ mod tests {
         let pairs_then = overapprox_match_pairs(&p, &t_then);
         let pairs_else = overapprox_match_pairs(&p, &t_else);
         let mut pool = SessionPool::new();
-        let (_, slot, reused) = pool.session_for_path(&p, &t_then, &pairs_then);
-        assert_eq!(slot, PathSlot::Host);
+        let (_, path, reused) = pool.session_for_path(&p, &t_then, &pairs_then);
+        assert_eq!(path, 0);
         assert!(!reused);
-        let (_, slot, reused) = pool.session_for_path(&p, &t_else, &pairs_else);
-        assert_eq!(slot, PathSlot::Sibling(0), "sibling attaches to the core");
+        let (_, path, reused) = pool.session_for_path(&p, &t_else, &pairs_else);
+        assert_eq!(path, 1, "sibling attaches to the core");
         assert!(reused);
         assert_eq!(pool.encodings_built, 1, "one core for both paths");
         assert_eq!(pool.paths_attached, 1);
-        // Re-requesting the sibling finds the attached slot.
-        let (_, slot, reused) = pool.session_for_path(&p, &t_else, &pairs_else);
-        assert_eq!(slot, PathSlot::Sibling(0));
+        // Re-requesting the sibling finds the attached path.
+        let (_, path, reused) = pool.session_for_path(&p, &t_else, &pairs_else);
+        assert_eq!(path, 1);
         assert!(reused);
 
         // Both paths answer their violation queries from the one solver:
@@ -635,16 +548,29 @@ mod tests {
         // (host query UNSAT), while the else-arm assertion `v == 5` is
         // violated by matching the receive with the send of 8 (SAT).
         let (session, _, _) = pool.session_for_path(&p, &t_then, &pairs_then);
-        let host_q = session.assumptions_for(PathSlot::Host, DeliveryModel::Unordered, true);
+        let host_q = session.assumptions_for(0, DeliveryModel::Unordered, true);
         assert_eq!(session.enc.solver.check_assuming(&host_q), SatResult::Unsat);
-        let sib_q = session.assumptions_for(PathSlot::Sibling(0), DeliveryModel::Unordered, true);
+        let sib_q = session.assumptions_for(1, DeliveryModel::Unordered, true);
         assert_eq!(
             session.enc.solver.check_assuming(&sib_q),
             SatResult::Sat,
             "the else-arm assertion (v == 5) is violated by the send of 8"
         );
+        // The sibling's model decodes against its own clocks and
+        // properties and replays to a real violation on its own trace.
+        let model = session.enc.solver.model().expect("model after SAT").clone();
+        let w = decode_witness(&session.enc, &model, 1);
+        assert_eq!(w.clocks.len(), t_else.events.len());
+        assert_eq!(
+            w.violated,
+            vec!["low must be the primary token".to_string()]
+        );
+        assert!(matches!(
+            replay_witness(&p, &t_else, &w, DeliveryModel::Unordered),
+            ReplayVerdict::Confirmed { .. }
+        ));
         // And back to the host: the sibling group did not poison it.
-        let host_q = session.assumptions_for(PathSlot::Host, DeliveryModel::Unordered, true);
+        let host_q = session.assumptions_for(0, DeliveryModel::Unordered, true);
         assert_eq!(session.enc.solver.check_assuming(&host_q), SatResult::Unsat);
     }
 
@@ -705,8 +631,8 @@ mod tests {
         let mut pool = SessionPool::new();
         let (_, _, reused) = pool.session_for_path(&p, &t_then, &pairs_then);
         assert!(!reused);
-        let (_, slot, reused) = pool.session_for_path(&p, &t_else, &pairs_else);
-        assert_eq!(slot, PathSlot::Host, "value mismatch forces a fresh core");
+        let (_, path, reused) = pool.session_for_path(&p, &t_else, &pairs_else);
+        assert_eq!(path, 0, "value mismatch forces a fresh core");
         assert!(!reused);
         assert_eq!(pool.encodings_built, 2);
         assert_eq!(pool.paths_attached, 0);

@@ -32,29 +32,15 @@ pub struct Witness {
     pub violated: Vec<String>,
 }
 
-/// Read a witness out of a satisfying model (for the encoding's host
-/// trace).
-pub fn decode_witness(encoding: &Encoding, model: &Model) -> Witness {
-    decode_witness_with(
-        encoding,
-        model,
-        &encoding.event_clocks,
-        &encoding.prop_terms,
-    )
-}
-
-/// Read a witness out of a satisfying model against an explicit set of
-/// event clocks and property terms — the clocks/props of a *sibling
-/// control-flow path* attached to a shared encoding (the matching and
-/// receive values always come from the shared core).
-pub fn decode_witness_with(
-    encoding: &Encoding,
-    model: &Model,
-    event_clocks: &[smt::TermId],
-    prop_terms: &[crate::encode::PropTerm],
-) -> Witness {
+/// Read a witness out of a satisfying model for one path of the encoding
+/// (path 0 is the trace the encoding was built from): the event clocks and
+/// violated properties are the path's own, while the matching and receive
+/// values come from the shared core.
+pub fn decode_witness(encoding: &Encoding, model: &Model, path: usize) -> Witness {
+    let terms = &encoding.paths[path];
     let pool = encoding.solver.pool();
-    let clocks: Vec<i64> = event_clocks
+    let clocks: Vec<i64> = terms
+        .clocks
         .iter()
         .map(|&c| model.eval_int(pool, c).expect("clock valued"))
         .collect();
@@ -69,7 +55,8 @@ pub fn decode_witness_with(
             (r.key, v)
         })
         .collect();
-    let violated = prop_terms
+    let violated = terms
+        .props
         .iter()
         .filter(|p| model.eval_bool(pool, p.term) == Some(false))
         .map(|p| p.message.clone())
@@ -293,7 +280,7 @@ mod tests {
         let mut enc = encode(&p, &tr, &pairs, EncodeOptions::default());
         assert_eq!(enc.solver.check(), SatResult::Sat);
         let model = enc.solver.model().unwrap().clone();
-        let w = decode_witness(&enc, &model);
+        let w = decode_witness(&enc, &model, 0);
         assert_eq!(w.violated, vec!["p1 first".to_string()]);
         let verdict = replay_witness(&p, &tr, &w, DeliveryModel::Unordered);
         match verdict {
@@ -323,7 +310,7 @@ mod tests {
         );
         assert_eq!(enc.solver.check(), SatResult::Sat);
         let model = enc.solver.model().unwrap().clone();
-        let w = decode_witness(&enc, &model);
+        let w = decode_witness(&enc, &model, 0);
         assert!(w.violated.is_empty());
         let verdict = replay_witness(&p, &tr, &w, DeliveryModel::Unordered);
         match verdict {
@@ -352,7 +339,7 @@ mod tests {
         );
         assert_eq!(enc.solver.check(), SatResult::Sat);
         let model = enc.solver.model().unwrap().clone();
-        let w = decode_witness(&enc, &model);
+        let w = decode_witness(&enc, &model, 0);
         // Program order must be respected in the decoded order.
         let mut last_pos = [None; 3];
         for (pos, &idx) in w.event_order.iter().enumerate() {
@@ -406,7 +393,7 @@ mod tests {
         );
         assert_eq!(enc.solver.check(), SatResult::Sat);
         let model = enc.solver.model().unwrap().clone();
-        let mut w = decode_witness(&enc, &model);
+        let mut w = decode_witness(&enc, &model, 0);
         w.matching = vec![(RecvKey::new(0, 0), MsgId::new(7, 7))];
         let verdict = replay_witness(&p, &tr, &w, DeliveryModel::Unordered);
         assert!(!verdict.is_confirmed());
@@ -422,7 +409,7 @@ mod tests {
         let mut enc = encode(&p, &tr, &pairs, EncodeOptions::default());
         assert_eq!(enc.solver.check(), SatResult::Sat);
         let model = enc.solver.model().unwrap().clone();
-        let w = decode_witness(&enc, &model);
+        let w = decode_witness(&enc, &model, 0);
         // Under the Unordered runtime the witness is real.
         assert!(replay_witness(&p, &tr, &w, DeliveryModel::Unordered).is_confirmed());
     }

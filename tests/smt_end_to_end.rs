@@ -32,7 +32,7 @@ fn encoder_formula_sizes_scale_linearly_in_events() {
         assert_eq!(enc.stats.match_disjuncts, n * n);
         assert_eq!(enc.stats.unique_pairs, n * (n - 1) / 2);
         assert_eq!(enc.stats.order_constraints, trace.events.len() - (n + 1));
-        assert_eq!(enc.event_clocks.len(), trace.events.len());
+        assert_eq!(enc.paths[0].clocks.len(), trace.events.len());
     }
 }
 

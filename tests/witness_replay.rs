@@ -37,7 +37,7 @@ fn all_models_replay(program: &mcapi::Program, model: DeliveryModel) {
         match enc.solver.check() {
             smt::SatResult::Sat => {
                 let m = enc.solver.model().unwrap().clone();
-                let w = decode_witness(&enc, &m);
+                let w = decode_witness(&enc, &m, 0);
                 let verdict = replay_witness(program, &trace, &w, model);
                 match verdict {
                     ReplayVerdict::Confirmed {
@@ -138,7 +138,7 @@ fn replay_rejects_wrong_delivery_model() {
     let mut enc = encode(&p, &trace, &pairs, EncodeOptions::default());
     assert_eq!(enc.solver.check(), smt::SatResult::Sat);
     let m = enc.solver.model().unwrap().clone();
-    let w = decode_witness(&enc, &m);
+    let w = decode_witness(&enc, &m, 0);
     // Under the paper's model the witness is real…
     assert!(replay_witness(&p, &trace, &w, DeliveryModel::Unordered).is_confirmed());
     // …under instant delivery it must be rejected (the whole point).
