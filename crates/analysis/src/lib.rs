@@ -150,16 +150,6 @@ pub struct AnalysisReport {
     pub static_paths: u64,
 }
 
-impl AnalysisReport {
-    /// Findings at `severity` or worse.
-    pub fn count_at_least(&self, severity: Severity) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.severity >= severity)
-            .count()
-    }
-}
-
 /// Is every branch/jump edge strictly forward? Compiled programs always
 /// are; hand-written flat JSON might not be, and the analysis refuses to
 /// reason about cyclic code rather than risk an unsound claim.

@@ -26,8 +26,8 @@
 //!   the pinned grid untraced, then again with hierarchical tracing
 //!   enabled, write the Chrome trace-event JSON of the traced run to
 //!   PATH (load it in Perfetto), and exit non-zero if tracing changed
-//!   any verdict or deterministic counter. Runs alone (not combined with
-//!   `--json`).
+//!   any scenario outcome field other than the timings. Runs alone (not
+//!   combined with `--json`).
 //!
 //! Run: `cargo run --release -p bench --bin exp_portfolio [args]`
 
@@ -482,7 +482,9 @@ fn perf_gate(json_path: &str, baseline_path: Option<&str>) -> ExitCode {
 
 /// `--trace-out PATH`: run the pinned grid untraced and then traced,
 /// write the traced run's Chrome trace, and fail if tracing changed any
-/// verdict or deterministic counter — tracing must be observation only.
+/// scenario outcome apart from its timing fields
+/// ([`ScenarioOutcome::without_timings`]) — tracing must be observation
+/// only.
 fn traced_grid_gate(path: &str) -> ExitCode {
     let grid = default_grid(1);
     let scenarios = cross(&grid, &DeliveryModel::ALL, &Engine::ALL);
@@ -501,16 +503,7 @@ fn traced_grid_gate(path: &str) -> ExitCode {
     }
     let mut ok = true;
     for (u, t) in untraced.outcomes.iter().zip(&traced.outcomes) {
-        let same = u.scenario == t.scenario
-            && u.verdict == t.verdict
-            && u.sat_checks == t.sat_checks
-            && u.conflicts == t.conflicts
-            && u.propagations == t.propagations
-            && u.paths_explored == t.paths_explored
-            && u.paths_pruned == t.paths_pruned
-            && u.states == t.states
-            && u.reused_encoding == t.reused_encoding;
-        if !same {
+        if u.without_timings() != t.without_timings() {
             eprintln!(
                 "TRACING DRIFT: {}: traced run disagrees with untraced \
                  (verdict {:?} vs {:?}, sat checks {} vs {}, conflicts {} vs {})",

@@ -4,7 +4,7 @@
 //! match-pair generator)` configuration at a time. This crate turns that
 //! single-shot checker into a **portfolio**: a batch of scenarios — a
 //! workload-family parameter grid crossed with delivery models and
-//! verification engines — fanned out across a work-stealing thread pool,
+//! verification engines — fanned out across a thread pool,
 //! with per-scenario budgets and a structured, serialisable report.
 //!
 //! The same idea drives neighbouring tools: hybrid MPI verifiers run
@@ -20,12 +20,15 @@
 //! 2. [`scenario::cross`] crosses them with
 //!    [`mcapi::types::DeliveryModel`]s and [`scenario::Engine`]s.
 //! 3. [`runner::run_portfolio`] executes the batch on a
-//!    [`pool::WorkStealingPool`] in either [`runner::Mode::Race`]
+//!    [`pool::WorkerPool`] in either [`runner::Mode::Race`]
 //!    (cancel on first violation) or [`runner::Mode::Sweep`]
-//!    (run everything). Every scenario runs through [`runner::run_batch`],
-//!    the one dispatch path: a work item is a grid point sharing one
-//!    session pool, or a single scenario when session reuse is off.
-//! 4. The [`report::PortfolioReport`] aggregates verdicts, refinement
+//!    (run everything). The pool's work item is one grid point
+//!    ([`runner::run_batch`]): its program is built and triaged once and
+//!    its scenarios share one session pool (one-shot without session reuse).
+//! 4. [`runner::run_engine`] is the one engine dispatch and
+//!    [`runner::EngineRun::outcome`] the one verdict fold, for the grid and
+//!    the CLI's single-program commands (`check`, `explore`, `corpus-check`).
+//! 5. The [`report::PortfolioReport`] aggregates verdicts, refinement
 //!    counts and solver statistics, as JSON or a table.
 //!
 //! ## Example
@@ -59,8 +62,7 @@ pub mod trend;
 
 pub use report::{PortfolioReport, ScenarioEvent, ScenarioOutcome, VerdictKind};
 pub use runner::{
-    fill_explicit_outcome, fill_symbolic_outcome, run_batch, run_portfolio, run_portfolio_traced,
-    Mode, PortfolioConfig,
+    run_batch, run_engine, run_portfolio, run_portfolio_traced, EngineRun, Mode, PortfolioConfig,
 };
 pub use scenario::{
     batch_by_grid_point, corpus_files, corpus_scenarios, corpus_specs, cross, Engine, GridBatch,
@@ -71,11 +73,11 @@ pub use workloads::grid::FamilySpec;
 
 /// Everything needed to assemble and run a portfolio.
 pub mod prelude {
-    pub use crate::pool::{CancelToken, WorkStealingPool};
+    pub use crate::pool::{CancelToken, WorkerPool};
     pub use crate::report::{PortfolioReport, ScenarioOutcome, VerdictKind};
     pub use crate::runner::{
-        fill_explicit_outcome, fill_symbolic_outcome, run_batch, run_portfolio,
-        run_portfolio_traced, Mode, PortfolioConfig,
+        run_batch, run_engine, run_portfolio, run_portfolio_traced, EngineRun, Mode,
+        PortfolioConfig,
     };
     pub use crate::scenario::{
         batch_by_grid_point, corpus_files, corpus_scenarios, corpus_specs, cross, Engine,

@@ -1,16 +1,14 @@
-//! A small work-stealing thread pool for embarrassingly-parallel job
-//! batches with cooperative cancellation.
+//! A small thread pool for embarrassingly-parallel job batches with
+//! cooperative cancellation.
 //!
-//! Jobs are dealt round-robin into per-worker deques. A worker pops from
-//! the *front* of its own deque and, when empty, steals from the *back* of
-//! the first non-empty victim's, so owner and thieves contend on opposite
-//! ends (mutexed deques rather than lock-free Chase–Lev: portfolio jobs
-//! run for milliseconds to seconds, so queue contention is noise). Every
-//! job produces exactly one output; cancellation is cooperative via
-//! [`CancelToken`], which the job closure is expected to consult so
-//! already-queued work can drain as cheap skips.
+//! Every job is known up front, so the workers share one queue: a mutexed
+//! iterator over the jobs in submission order, from which an idle worker
+//! takes the next job. Portfolio jobs run for milliseconds to seconds, so
+//! contention on the one lock is noise, and one lock has no lock order to
+//! get wrong. Every job produces exactly one output; cancellation is
+//! cooperative via [`CancelToken`], which the job closure is expected to
+//! consult so already-queued work can drain as cheap skips.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -45,25 +43,25 @@ impl CancelToken {
     }
 }
 
-/// Fixed-width pool; see the module docs for the stealing discipline.
+/// Fixed-width pool over one shared job queue; see the module docs.
 ///
 /// ```
-/// use driver::pool::{CancelToken, WorkStealingPool};
+/// use driver::pool::{CancelToken, WorkerPool};
 ///
-/// let pool = WorkStealingPool::new(4);
+/// let pool = WorkerPool::new(4);
 /// let jobs: Vec<u64> = (0..100).collect();
 /// let out = pool.run(jobs, &CancelToken::new(), |_idx, job, _cancel| job * 2);
 /// assert_eq!(out[21], 42);
 /// assert_eq!(out.len(), 100);
 /// ```
-pub struct WorkStealingPool {
+pub struct WorkerPool {
     workers: usize,
 }
 
-impl WorkStealingPool {
+impl WorkerPool {
     /// `workers` is clamped to at least 1.
-    pub fn new(workers: usize) -> WorkStealingPool {
-        WorkStealingPool {
+    pub fn new(workers: usize) -> WorkerPool {
+        WorkerPool {
             workers: workers.max(1),
         }
     }
@@ -86,7 +84,7 @@ impl WorkStealingPool {
         self.run_traced(jobs, cancel, None, f)
     }
 
-    /// [`WorkStealingPool::run`] with an optional [`trace::Tracer`]: when
+    /// [`WorkerPool::run`] with an optional [`trace::Tracer`]: when
     /// given, each worker thread installs a `worker-<i>` lane for its
     /// lifetime, so spans opened anywhere inside the job closure land on
     /// that worker's timeline. With `None` this is exactly `run` —
@@ -104,34 +102,21 @@ impl WorkStealingPool {
         F: Fn(usize, J, &CancelToken) -> O + Sync,
     {
         let n = jobs.len();
-        let deques: Vec<Mutex<VecDeque<(usize, J)>>> = (0..self.workers)
-            .map(|_| Mutex::new(VecDeque::new()))
-            .collect();
-        for (i, job) in jobs.into_iter().enumerate() {
-            deques[i % self.workers].lock().unwrap().push_back((i, job));
-        }
+        let queue = Mutex::new(jobs.into_iter().enumerate());
         let results: Vec<Mutex<Option<O>>> = (0..n).map(|_| Mutex::new(None)).collect();
 
         std::thread::scope(|scope| {
             for me in 0..self.workers {
-                let deques = &deques;
+                let queue = &queue;
                 let results = &results;
                 let f = &f;
                 scope.spawn(move || {
                     let _lane = tracer.map(|t| t.install(&format!("worker-{me}")));
                     loop {
-                        // Release the own-deque lock before stealing: two
-                        // idle workers each holding their own lock while
-                        // locking the other's would deadlock.
-                        let own = deques[me].lock().unwrap().pop_front();
-                        let job = own.or_else(|| {
-                            // Own deque empty: steal from the back of the
-                            // first non-empty victim.
-                            (0..deques.len())
-                                .filter(|&v| v != me)
-                                .find_map(|v| deques[v].lock().unwrap().pop_back())
-                        });
-                        let Some((idx, job)) = job else { break };
+                        // Take the next job in its own statement so the
+                        // queue lock is released before the job runs.
+                        let next = queue.lock().unwrap().next();
+                        let Some((idx, job)) = next else { break };
                         let out = f(idx, job, cancel);
                         *results[idx].lock().unwrap() = Some(out);
                     }
@@ -157,7 +142,7 @@ mod tests {
 
     #[test]
     fn all_jobs_run_exactly_once_in_order() {
-        let pool = WorkStealingPool::new(3);
+        let pool = WorkerPool::new(3);
         let ran = AtomicUsize::new(0);
         let out = pool.run(
             (0..50).collect(),
@@ -176,7 +161,7 @@ mod tests {
 
     #[test]
     fn zero_workers_degrades_to_one() {
-        let pool = WorkStealingPool::new(0);
+        let pool = WorkerPool::new(0);
         assert_eq!(pool.workers(), 1);
         let out = pool.run(vec![7u64], &CancelToken::new(), |_, j, _| j + 1);
         assert_eq!(out, vec![8]);
@@ -185,7 +170,7 @@ mod tests {
     #[test]
     fn cancellation_is_visible_to_later_jobs() {
         // Single worker => deterministic order: job 0 cancels, the rest see it.
-        let pool = WorkStealingPool::new(1);
+        let pool = WorkerPool::new(1);
         let out = pool.run(
             (0..10).collect(),
             &CancelToken::new(),
@@ -200,10 +185,10 @@ mod tests {
     }
 
     #[test]
-    fn stealing_drains_unbalanced_queues() {
+    fn more_or_fewer_workers_than_jobs_all_complete() {
         // More workers than jobs and vice versa both complete.
         for workers in [1, 2, 8] {
-            let pool = WorkStealingPool::new(workers);
+            let pool = WorkerPool::new(workers);
             let out = pool.run((0..5).collect(), &CancelToken::new(), |_, j: u32, _| j);
             assert_eq!(out, vec![0, 1, 2, 3, 4]);
         }

@@ -32,7 +32,7 @@ impl fmt::Display for VerdictKind {
 }
 
 /// Everything recorded about one finished (or skipped) scenario.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioOutcome {
     /// Unique scenario name (`point/delivery/engine`).
     pub scenario: String,
@@ -127,6 +127,20 @@ impl ScenarioOutcome {
             engine,
             detail: "cancelled by race mode".into(),
             ..ScenarioOutcome::default()
+        }
+    }
+
+    /// This outcome with its wall-clock fields (`wall_ms` and the phase
+    /// µs) zeroed: the deterministic part, which must repeat exactly, for
+    /// example between a traced and an untraced run.
+    pub fn without_timings(&self) -> ScenarioOutcome {
+        ScenarioOutcome {
+            wall_ms: 0,
+            encode_us: 0,
+            solve_us: 0,
+            schedule_us: 0,
+            enumerate_us: 0,
+            ..self.clone()
         }
     }
 }
@@ -516,6 +530,25 @@ mod tests {
         );
         o.verdict = verdict;
         o
+    }
+
+    #[test]
+    fn without_timings_keeps_every_deterministic_field() {
+        let mut a = outcome("a", VerdictKind::Safe);
+        a.directed_transitions = 7;
+        a.solver.decisions = 3;
+        let mut b = a.clone();
+        (
+            b.wall_ms,
+            b.encode_us,
+            b.solve_us,
+            b.schedule_us,
+            b.enumerate_us,
+        ) = (1, 2, 3, 4, 5);
+        assert_ne!(a, b);
+        assert_eq!(a.without_timings(), b.without_timings());
+        b.solver.decisions += 1;
+        assert_ne!(a.without_timings(), b.without_timings());
     }
 
     #[test]

@@ -1,10 +1,13 @@
-//! The portfolio runner: fan a scenario batch out across the pool, collect
-//! [`ScenarioOutcome`]s, aggregate a [`PortfolioReport`].
+//! The portfolio runner: fan a scenario batch out across the pool one grid
+//! point at a time, collect [`ScenarioOutcome`]s, aggregate a
+//! [`PortfolioReport`]. [`run_engine`] is the one engine dispatch and
+//! [`EngineRun::outcome`] the one verdict fold, for the portfolio and the
+//! CLI's single-program commands alike.
 
-use crate::pool::{CancelToken, WorkStealingPool};
+use crate::pool::{CancelToken, WorkerPool};
 use crate::report::{PortfolioReport, ScenarioOutcome, VerdictKind};
 use crate::scenario::{batch_by_grid_point, Engine, GridBatch, Scenario};
-use explicit::{ExploreConfig, GraphExplorer};
+use explicit::{ExploreConfig, ExploreResult, GraphExplorer};
 use mcapi::program::Program;
 use std::time::Instant;
 use symbolic::checker::{check_source, CheckConfig, CheckReport, MatchGen, SingleTrace, Verdict};
@@ -45,12 +48,12 @@ pub struct PortfolioConfig {
     pub budget_ms: Option<u64>,
     /// Explicit-engine state-count cap (its analogue of a time budget).
     pub max_states: usize,
-    /// Batch scenarios by grid point and share one incremental SMT
-    /// encoding per (trace, match pairs) across delivery models, match
-    /// generators and sibling control-flow paths (see
-    /// [`symbolic::session::CheckSession`]). Disable to run every
-    /// scenario as its own batch on a [`SessionPool::one_shot`] pool, which
-    /// re-encodes every trace from scratch (the CLI's `--no-session-reuse`).
+    /// Share one incremental SMT encoding per (trace, match pairs) across
+    /// the delivery models, match generators and sibling control-flow
+    /// paths of a grid point (see [`symbolic::session::CheckSession`]).
+    /// Disable to run each grid point on a [`SessionPool::one_shot`] pool,
+    /// which re-encodes every trace from scratch (the CLI's
+    /// `--no-session-reuse`).
     pub session_reuse: bool,
     /// Path budget for the `symbolic-paths` engine: exceeding it degrades
     /// the scenario verdict to unknown, never to a silent safe.
@@ -115,6 +118,17 @@ impl PortfolioConfig {
             ..PathsConfig::default()
         }
     }
+
+    /// The [`ExploreConfig`] an explicit scenario runs under.
+    pub fn explore_config(&self, scenario: &Scenario) -> ExploreConfig {
+        ExploreConfig {
+            model: scenario.delivery,
+            max_states: self.max_states,
+            stop_at_first_violation: self.mode == Mode::Race,
+            use_canonical: self.canonical,
+            ..ExploreConfig::default()
+        }
+    }
 }
 
 /// What the static triage pre-pass concluded about one grid point.
@@ -161,7 +175,7 @@ fn triage_point(program: &Program, cfg: &PortfolioConfig) -> Option<TriagePoint>
     })
 }
 
-/// A blank outcome shell for a scenario (filled in by the engine runners).
+/// A blank outcome shell for a scenario, for its engine or triage to fill.
 fn outcome_shell(scenario: &Scenario) -> ScenarioOutcome {
     ScenarioOutcome::skipped(
         scenario.name(),
@@ -171,94 +185,113 @@ fn outcome_shell(scenario: &Scenario) -> ScenarioOutcome {
     )
 }
 
-/// Fold a symbolic [`CheckReport`] into an existing outcome shell.
-/// Public so the CLI's single-scenario `check` reporting builds the same
-/// outcome (and therefore the same metrics/event exposition) as the
-/// portfolio runner.
-pub fn fill_symbolic_outcome(out: &mut ScenarioOutcome, report: CheckReport, reused: bool) {
-    out.refinements = report.refinements;
-    out.sat_vars = report.encode_stats.sat_vars;
-    out.sat_clauses = report.encode_stats.sat_clauses;
-    out.match_pairs = report.matchgen_pairs;
-    out.matchgen_states = report.matchgen_states;
-    out.reused_encoding = reused;
-    out.sat_checks = report.sat_checks;
-    out.conflicts = report.solver_stats.conflicts;
-    out.propagations = report.solver_stats.propagations;
-    out.paths_explored = report.paths_explored;
-    out.paths_pruned = report.paths_pruned;
-    out.directed_transitions = report.directed_transitions;
-    out.canonical_skipped = report.canonical_skipped;
-    out.encode_us = report.timings.encode_us;
-    out.solve_us = report.timings.solve_us;
-    out.schedule_us = report.timings.schedule_us;
-    out.enumerate_us = report.timings.enumerate_us;
-    out.solver = report.solver_stats;
-    out.introspect = report.solver_introspect;
-    match report.verdict {
-        Verdict::Safe => {
-            out.verdict = VerdictKind::Safe;
-            out.detail = String::new();
+/// What one engine produced for one scenario, before it is folded into a
+/// [`ScenarioOutcome`]. Front ends print from it; the portfolio folds it.
+pub enum EngineRun {
+    /// A symbolic engine's report, and whether its first trace reused an
+    /// encoding the session pool already held.
+    Symbolic {
+        /// The check loop's folded report.
+        report: Box<CheckReport>,
+        /// Did the first trace land on an existing encoding?
+        reused: bool,
+    },
+    /// The explicit engine's exploration result.
+    Explicit(ExploreResult),
+}
+
+impl EngineRun {
+    /// The one verdict fold: this run's verdict and counters as the
+    /// scenario's outcome. The caller sets `wall_ms` and the triage fields.
+    pub fn outcome(&self, scenario: &Scenario) -> ScenarioOutcome {
+        let mut out = outcome_shell(scenario);
+        match self {
+            EngineRun::Symbolic { report, reused } => {
+                out.refinements = report.refinements;
+                out.sat_vars = report.encode_stats.sat_vars;
+                out.sat_clauses = report.encode_stats.sat_clauses;
+                out.match_pairs = report.matchgen_pairs;
+                out.matchgen_states = report.matchgen_states;
+                out.reused_encoding = *reused;
+                out.sat_checks = report.sat_checks;
+                out.conflicts = report.solver_stats.conflicts;
+                out.propagations = report.solver_stats.propagations;
+                out.paths_explored = report.paths_explored;
+                out.paths_pruned = report.paths_pruned;
+                out.directed_transitions = report.directed_transitions;
+                out.canonical_skipped = report.canonical_skipped;
+                out.encode_us = report.timings.encode_us;
+                out.solve_us = report.timings.solve_us;
+                out.schedule_us = report.timings.schedule_us;
+                out.enumerate_us = report.timings.enumerate_us;
+                out.solver = report.solver_stats;
+                out.introspect = report.solver_introspect.clone();
+                (out.verdict, out.detail) = match &report.verdict {
+                    Verdict::Safe => (VerdictKind::Safe, String::new()),
+                    Verdict::Violation(cv) => {
+                        (VerdictKind::Violation, cv.violated_props.join("; "))
+                    }
+                    Verdict::Unknown(why) => (VerdictKind::Unknown, why.clone()),
+                };
+            }
+            EngineRun::Explicit(r) => {
+                out.states = r.states;
+                out.transitions = r.transitions;
+                out.canonical_skipped = r.canonical_skipped;
+                let messages: Vec<&str> = r.violations.iter().map(|v| v.message.as_str()).collect();
+                (out.verdict, out.detail) = if r.found_violation() {
+                    (VerdictKind::Violation, messages.join("; "))
+                } else if r.truncated {
+                    let why = format!("state budget exhausted at {}", r.states);
+                    (VerdictKind::Unknown, why)
+                } else {
+                    (VerdictKind::Safe, String::new())
+                };
+            }
         }
-        Verdict::Violation(cv) => {
-            out.verdict = VerdictKind::Violation;
-            out.detail = cv.violated_props.join("; ");
-        }
-        Verdict::Unknown(why) => {
-            out.verdict = VerdictKind::Unknown;
-            out.detail = why;
-        }
+        out
     }
 }
 
-/// Fold a symbolic [`CheckReport`] into an outcome.
-fn symbolic_outcome(scenario: &Scenario, report: CheckReport, reused: bool) -> ScenarioOutcome {
-    let mut out = outcome_shell(scenario);
-    fill_symbolic_outcome(&mut out, report, reused);
-    out
-}
-
-/// Fold an explicit-state exploration result into an existing outcome
-/// shell (public for the same reason as [`fill_symbolic_outcome`]).
-pub fn fill_explicit_outcome(out: &mut ScenarioOutcome, result: &explicit::ExploreResult) {
-    out.states = result.states;
-    out.transitions = result.transitions;
-    out.canonical_skipped = result.canonical_skipped;
-    if result.found_violation() {
-        out.verdict = VerdictKind::Violation;
-        out.detail = result
-            .violations
-            .iter()
-            .map(|v| v.message.clone())
-            .collect::<Vec<_>>()
-            .join("; ");
-    } else if result.truncated {
-        out.verdict = VerdictKind::Unknown;
-        out.detail = format!("state budget exhausted at {}", result.states);
-    } else {
-        out.verdict = VerdictKind::Safe;
-        out.detail = String::new();
-    }
-}
-
-/// Run the explicit-state ground-truth engine on an already-built program.
-fn run_explicit(program: &Program, scenario: &Scenario, cfg: &PortfolioConfig) -> ScenarioOutcome {
-    let mut out = outcome_shell(scenario);
-    let explore_cfg = ExploreConfig {
-        model: scenario.delivery,
-        max_states: cfg.max_states,
-        stop_at_first_violation: cfg.mode == Mode::Race,
-        use_canonical: cfg.canonical,
-        ..ExploreConfig::default()
+/// Run `scenario`'s engine on its already-built `program` — the one engine
+/// dispatch, shared by [`run_batch`] and the CLI's single-program commands.
+/// Symbolic engines draw their encodings from `pool`; the explicit engine
+/// ignores it.
+pub fn run_engine(
+    program: &Program,
+    scenario: &Scenario,
+    cfg: &PortfolioConfig,
+    pool: &mut SessionPool,
+) -> EngineRun {
+    let (report, reused) = match scenario.engine {
+        Engine::Symbolic(_) => {
+            let check = cfg.check_config(scenario);
+            let mut source = SingleTrace::new(program, &check);
+            check_source(pool, program, &mut source, &check)
+        }
+        // A shared pool lets path traces attach as siblings across the
+        // delivery models of one grid point too.
+        Engine::SymbolicPaths => {
+            let pcfg = cfg.paths_config(scenario);
+            match PathEnumerator::new(program, &pcfg) {
+                Ok(mut paths) => check_source(pool, program, &mut paths, &pcfg.check),
+                Err(why) => (enumeration_failed(program, &pcfg, &why), false),
+            }
+        }
+        Engine::Explicit => {
+            let explorer = GraphExplorer::new(program, cfg.explore_config(scenario));
+            return EngineRun::Explicit(explorer.explore());
+        }
     };
-    let result = GraphExplorer::new(program, explore_cfg).explore();
-    fill_explicit_outcome(&mut out, &result);
-    out
+    EngineRun::Symbolic {
+        report: Box::new(report),
+        reused,
+    }
 }
 
-/// Run one grid point's scenarios back to back — the driver's only
-/// dispatch path. The program is built and triaged once, and every
-/// symbolic scenario goes through one [`SessionPool`]: with
+/// Run one grid point's scenarios back to back — the pool's only work
+/// item. The program is built and triaged once, and every scenario goes
+/// through [`run_engine`] with one [`SessionPool`]: with
 /// [`PortfolioConfig::session_reuse`] scenarios whose (trace, match pairs)
 /// coincide solve incrementally on one encoding, without it each trace is
 /// encoded from scratch ([`SessionPool::one_shot`]).
@@ -300,25 +333,7 @@ pub fn run_batch(
                 o.statically_decided = true;
                 o
             }
-            None => match scenario.engine {
-                Engine::Symbolic(_) => {
-                    let check = cfg.check_config(scenario);
-                    let mut source = SingleTrace::new(&program, &check);
-                    let (report, reused) = check_source(&mut pool, &program, &mut source, &check);
-                    symbolic_outcome(scenario, report, reused)
-                }
-                Engine::SymbolicPaths => {
-                    // The batch pool is shared, so path traces attach as
-                    // siblings across delivery models of one grid point too.
-                    let pcfg = cfg.paths_config(scenario);
-                    let (report, reused) = match PathEnumerator::new(&program, &pcfg) {
-                        Ok(mut paths) => check_source(&mut pool, &program, &mut paths, &pcfg.check),
-                        Err(why) => (enumeration_failed(&program, &pcfg, &why), false),
-                    };
-                    symbolic_outcome(scenario, report, reused)
-                }
-                Engine::Explicit => run_explicit(&program, scenario, cfg),
-            },
+            None => run_engine(&program, scenario, cfg, &mut pool).outcome(scenario),
         };
         if let Some(t) = &triage {
             o.lint_findings = t.lint_findings;
@@ -375,37 +390,18 @@ pub fn run_portfolio_traced(
     tracer: Option<&trace::Tracer>,
 ) -> PortfolioReport {
     let start = Instant::now();
-    let pool = WorkStealingPool::new(cfg.threads);
+    let pool = WorkerPool::new(cfg.threads);
     let cancel = CancelToken::new();
-    // Batches are the pool's work items. With session reuse a batch is a
-    // grid point (its program built once, encodings shared through one
-    // session pool); without it every scenario is its own batch.
-    let batches = if cfg.session_reuse {
-        batch_by_grid_point(scenarios)
-    } else {
-        scenarios
-            .iter()
-            .enumerate()
-            .map(|(i, s)| GridBatch {
-                spec: s.spec.clone(),
-                items: vec![(i, s.clone())],
-            })
-            .collect()
-    };
     let per_batch = pool.run_traced(
-        batches,
+        batch_by_grid_point(scenarios),
         &cancel,
         tracer,
         |_bidx, batch: GridBatch, cancel| run_batch(&batch, cfg, cancel),
     );
-    let mut outcomes: Vec<Option<ScenarioOutcome>> = vec![None; scenarios.len()];
-    for (idx, o) in per_batch.into_iter().flatten() {
-        outcomes[idx] = Some(o);
-    }
-    let outcomes = outcomes
-        .into_iter()
-        .map(|o| o.expect("every scenario lands in exactly one batch"))
-        .collect();
+    // Every scenario lands in exactly one batch: back to submission order.
+    let mut outcomes: Vec<(usize, ScenarioOutcome)> = per_batch.into_iter().flatten().collect();
+    outcomes.sort_by_key(|(idx, _)| *idx);
+    let outcomes = outcomes.into_iter().map(|(_, o)| o).collect();
     PortfolioReport::from_outcomes(
         cfg.mode.tag(),
         pool.workers(),

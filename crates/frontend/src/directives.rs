@@ -11,8 +11,11 @@
 //! ```
 //!
 //! Unknown keys and free-form comment lines are ignored, so headers can
-//! also hold prose.
+//! also hold prose. A `// delivery:` value that names no delivery model is
+//! an error: dropping it would check the file under the wrong model.
 
+use crate::diag::{render, Span};
+use mcapi::error::McapiError;
 use mcapi::types::DeliveryModel;
 use std::fmt;
 
@@ -79,8 +82,10 @@ pub fn leading_comment_block(src: &str) -> Vec<&str> {
     block
 }
 
-/// Extract directives from the leading comment block.
-pub fn directives(src: &str) -> Directives {
+/// Extract directives from the leading comment block. An unknown
+/// `// delivery:` value is a [`McapiError::Parse`] with a caret under the
+/// value; other malformed values are ignored.
+pub fn directives(src: &str) -> Result<Directives, McapiError> {
     let mut d = Directives::default();
     for line in leading_comment_block(src) {
         let Some(rest) = line.trim_start().strip_prefix("//") else {
@@ -99,12 +104,24 @@ pub fn directives(src: &str) -> Directives {
                     _ => d.expect,
                 }
             }
-            "delivery" => d.delivery = parse_delivery(value).or(d.delivery),
+            "delivery" => match parse_delivery(value) {
+                Some(model) => d.delivery = Some(model),
+                None => {
+                    // `value` is a subslice of `src`: its offset locates the caret.
+                    let start = value.as_ptr() as usize - src.as_ptr() as usize;
+                    let message = format!(
+                        "unknown delivery model `{value}` in the `// delivery:` header; \
+                         expected unordered|fifo|zero"
+                    );
+                    let span = Span::new(start, start + value.len());
+                    return Err(McapiError::Parse(render(src, span, &message)));
+                }
+            },
             "unroll" => d.unroll = value.parse().ok().or(d.unroll),
             _ => {}
         }
     }
-    d
+    Ok(d)
 }
 
 /// Every `// expect-lint: <substring>` header line, in order. Each names
@@ -138,7 +155,7 @@ mod tests {
             vec!["can never be matched", "never waited on"]
         );
         // `expect:` and `expect-lint:` are distinct keys.
-        assert_eq!(directives(src).expect, Some(Expect::Safe));
+        assert_eq!(directives(src).unwrap().expect, Some(Expect::Safe));
         assert!(expect_lints("program p {}").is_empty());
     }
 
@@ -146,7 +163,8 @@ mod tests {
     fn reads_expect_and_delivery() {
         let d = directives(
             "// A fine program.\n// expect: violation\n// delivery: zero-delay\nprogram p {}",
-        );
+        )
+        .unwrap();
         assert_eq!(d.expect, Some(Expect::Violation));
         assert_eq!(d.delivery, Some(DeliveryModel::ZeroDelay));
         assert_eq!(d.unroll, None);
@@ -154,22 +172,34 @@ mod tests {
 
     #[test]
     fn reads_unroll_bound() {
-        let d = directives("// unroll: 200\nprogram p {}");
+        let d = directives("// unroll: 200\nprogram p {}").unwrap();
         assert_eq!(d.unroll, Some(200));
         // Malformed values are ignored, not a parse failure.
-        let d = directives("// unroll: lots\nprogram p {}");
+        let d = directives("// unroll: lots\nprogram p {}").unwrap();
         assert_eq!(d.unroll, None);
     }
 
     #[test]
+    fn rejects_an_unknown_delivery_value() {
+        let src = "// expect: safe\n// delivery: zero-dealy\nprogram p {}";
+        let McapiError::Parse(d) = directives(src).unwrap_err() else {
+            panic!("a header error is a parse diagnostic");
+        };
+        assert_eq!((d.line, d.col), (2, 14));
+        assert!(d.message.contains("`zero-dealy`"), "{}", d.message);
+        assert!(d.rendered.contains("^^^^^^^^^^"), "{}", d.rendered);
+    }
+
+    #[test]
     fn stops_at_first_code_line() {
-        let d = directives("program p {}\n// expect: safe\n");
+        let d = directives("program p {}\n// expect: safe\n").unwrap();
         assert_eq!(d.expect, None);
     }
 
     #[test]
     fn ignores_unknown_keys_and_prose() {
-        let d = directives("// note: race between t1 and t2\n// expect: safe\nprogram p {}");
+        let d =
+            directives("// note: race between t1 and t2\n// expect: safe\nprogram p {}").unwrap();
         assert_eq!(d.expect, Some(Expect::Safe));
         assert_eq!(d.delivery, None);
     }

@@ -78,11 +78,12 @@ use mcapi::program::{Program, UnrollConfig};
 /// failures keep their usual [`McapiError::Validation`] shape.
 ///
 /// `repeat` loops are unrolled under the file's `// unroll: N` header
-/// bound when present, the default [`UnrollConfig`] otherwise. Callers
+/// bound when present, the default [`UnrollConfig`] otherwise. A header
+/// naming an unknown delivery model is rejected ([`directives()`]). Callers
 /// with an explicit bound (the CLI's `--unroll` flag) use
 /// [`parse_program_with`].
 pub fn parse_program(source: &str) -> Result<Program, McapiError> {
-    let unroll = match directives(source).unroll {
+    let unroll = match directives(source)?.unroll {
         Some(n) => UnrollConfig::with_max_count(n),
         None => UnrollConfig::default(),
     };
@@ -134,7 +135,7 @@ program demo {
         let twice = format_source(&once).unwrap();
         assert_eq!(once, twice);
         // Directives survive formatting.
-        assert_eq!(directives(&once).expect, Some(Expect::Safe));
+        assert_eq!(directives(&once).unwrap().expect, Some(Expect::Safe));
     }
 
     #[test]

@@ -95,12 +95,6 @@ impl ProgramBuilder {
         var
     }
 
-    /// Blocking receive into an existing variable.
-    pub fn recv_into(&mut self, thread: ThreadId, port: Port, var: VarId) {
-        self.port(thread, port);
-        self.push_op(thread, Op::Recv { port, var });
-    }
-
     /// Non-blocking receive; returns (destination var, request handle).
     pub fn recv_i(&mut self, thread: ThreadId, port: Port) -> (VarId, ReqId) {
         let var = self.fresh_var(thread);

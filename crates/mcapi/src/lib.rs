@@ -64,7 +64,7 @@ pub use error::McapiError;
 pub use expr::{Cond, Expr, MAX_CONST_MAGNITUDE};
 pub use program::{Instr, Op, Program, Thread, UnrollConfig};
 pub use runtime::{execute, execute_random, ExecOutcome};
-pub use sched::{FirstScheduler, RandomScheduler, Scheduler, ScriptScheduler};
+pub use sched::{RandomScheduler, Scheduler, ScriptScheduler};
 pub use state::{Action, SysState};
 pub use trace::{Event, EventKind, Trace, Violation};
 pub use types::{

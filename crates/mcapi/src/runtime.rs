@@ -157,8 +157,8 @@ mod tests {
     #[test]
     fn zero_delay_restricts_first_recv() {
         // Under ZeroDelay, recv(A) always gets the globally-first send to
-        // t0; with FirstScheduler t1 runs before t2 only after its recv(C)
-        // unblocks, so drive randomly and check the invariant instead:
+        // t0; t1 runs before t2 only after its recv(C) unblocks, so drive
+        // randomly and check the invariant instead:
         // the received message is the oldest in-flight at that moment.
         let p = fig1_like();
         for seed in 0..100 {

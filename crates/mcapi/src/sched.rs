@@ -1,9 +1,8 @@
 //! Schedulers: policies for resolving the action non-determinism, plus the
 //! *directed* execution mode used by path exploration.
 //!
-//! The plain schedulers ([`RandomScheduler`], [`FirstScheduler`],
-//! [`ScriptScheduler`], [`RoundRobinScheduler`]) pick one enabled action at
-//! a time. [`execute_directed`] is different in kind: given a
+//! The plain schedulers ([`RandomScheduler`], [`ScriptScheduler`]) pick
+//! one enabled action at a time. [`execute_directed`] is different in kind: given a
 //! [`BranchPlan`] prescribing every conditional branch outcome, it searches
 //! *over* schedules (depth-first, with a visited set) for a concrete
 //! execution whose branches follow the plan — and reports an infeasible
@@ -46,21 +45,6 @@ impl Scheduler for RandomScheduler {
             None
         } else {
             Some(self.rng.gen_range(0..actions.len()))
-        }
-    }
-}
-
-/// Always the first enabled action: a deterministic, mostly-sequential
-/// schedule (thread 0 runs as far as it can, etc.).
-#[derive(Default)]
-pub struct FirstScheduler;
-
-impl Scheduler for FirstScheduler {
-    fn choose(&mut self, actions: &[Action]) -> Option<usize> {
-        if actions.is_empty() {
-            None
-        } else {
-            Some(0)
         }
     }
 }
@@ -108,35 +92,6 @@ impl Scheduler for ScriptScheduler {
                 None
             }
         }
-    }
-}
-
-/// Round-robin over threads: picks the first action of the thread with the
-/// lowest id strictly greater than the previously scheduled thread, wrapping
-/// around. Gives fair interleavings for smoke tests.
-#[derive(Default)]
-pub struct RoundRobinScheduler {
-    last_thread: Option<usize>,
-}
-
-impl Scheduler for RoundRobinScheduler {
-    fn choose(&mut self, actions: &[Action]) -> Option<usize> {
-        if actions.is_empty() {
-            return None;
-        }
-        let start = self.last_thread.map_or(0, |t| t + 1);
-        // First action of the lowest thread >= start, else lowest overall.
-        let best = actions
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.thread() >= start)
-            .min_by_key(|(_, a)| a.thread())
-            .or_else(|| actions.iter().enumerate().min_by_key(|(_, a)| a.thread()))
-            .map(|(i, _)| i);
-        if let Some(i) = best {
-            self.last_thread = Some(actions[i].thread());
-        }
-        best
     }
 }
 
@@ -591,13 +546,6 @@ mod tests {
     }
 
     #[test]
-    fn first_always_zero() {
-        let mut s = FirstScheduler;
-        assert_eq!(s.choose(&acts()), Some(0));
-        assert_eq!(s.choose(&[]), None);
-    }
-
-    #[test]
     fn script_follows_and_reports_divergence() {
         let a = acts();
         let mut s = ScriptScheduler::new(vec![a[2], a[0]]);
@@ -617,15 +565,6 @@ mod tests {
         let mut s = ScriptScheduler::new(vec![missing]);
         assert_eq!(s.choose(&a), None);
         assert!(s.diverged());
-    }
-
-    #[test]
-    fn round_robin_rotates_threads() {
-        let a = acts();
-        let mut s = RoundRobinScheduler::default();
-        let t1 = a[s.choose(&a).unwrap()].thread();
-        let t2 = a[s.choose(&a).unwrap()].thread();
-        assert_ne!(t1, t2, "round robin should rotate");
     }
 
     use crate::builder::ProgramBuilder;

@@ -284,11 +284,6 @@ impl Registry {
         }
     }
 
-    /// Registered family names, sorted (for schema-stability tests).
-    pub fn family_names(&self) -> Vec<&str> {
-        self.families.keys().map(String::as_str).collect()
-    }
-
     /// Render the whole registry in Prometheus text exposition format.
     /// Output is deterministic: families sorted by name, samples by label
     /// set, `# HELP` and `# TYPE` preceding each family.

@@ -14,15 +14,6 @@ pub struct Model {
 }
 
 impl Model {
-    /// Value of an integer variable *term*.
-    pub fn int_value(&self, pool: &TermPool, t: TermId) -> Option<i64> {
-        match pool.get(t) {
-            Term::IntVar(i) => self.ints.get(*i as usize).copied(),
-            Term::IntConst(c) => Some(*c),
-            _ => self.eval_int(pool, t),
-        }
-    }
-
     /// Evaluate an integer term.
     pub fn eval_int(&self, pool: &TermPool, t: TermId) -> Option<i64> {
         match pool.get(t) {

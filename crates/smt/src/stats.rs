@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Search statistics, cheap to copy and print.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Stats {
     /// Decisions made.
     #[serde(default)]

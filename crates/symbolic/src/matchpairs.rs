@@ -41,11 +41,6 @@ impl MatchPairs {
         self.sends_for.values().map(|s| s.len()).sum()
     }
 
-    /// Number of receives.
-    pub fn num_recvs(&self) -> usize {
-        self.sends_for.len()
-    }
-
     /// Is `other` a subset of `self` (per receive)?
     pub fn contains(&self, other: &MatchPairs) -> bool {
         other.sends_for.iter().all(|(k, sends)| {

@@ -13,7 +13,7 @@
 //! mcapi-smc lint <program|dir> [--deny warnings] [--unroll N]  # static analysis, caret diagnostics
 //! mcapi-smc export <family|point> [--scale K] [--out DIR]  # grid → .mcapi
 //! mcapi-smc behaviours <program> [--delivery ...] [--limit N]
-//! mcapi-smc explore <program> [--delivery ...]    # explicit ground truth
+//! mcapi-smc explore <program> [--delivery ...]    # explicit ground truth (exit 3 at the state cap)
 //! mcapi-smc run <program> [--seed N] [--delivery ...]  # one random execution
 //! mcapi-smc demo <name>          # print a workload grid point as JSON
 //! mcapi-smc --list-programs      # every accepted grid-point name
@@ -30,8 +30,12 @@
 //! (`--precise` is the legacy spelling), `symbolic-paths` (branch-complete:
 //! enumerates every feasible control-flow path and checks each one —
 //! `--max-paths N` bounds the frontier, truncation degrades to UNKNOWN),
-//! `explicit`. A `.mcapi` file's `// delivery:` header supplies the
-//! delivery model when no `--delivery` flag is given. `repeat` loops are
+//! `explicit`. `check`, `explore` and `corpus-check` run their engine
+//! through the driver's one dispatch (`driver::run_engine`) and print from
+//! its result; an incomplete search is UNKNOWN (exit 3) in every engine.
+//! A `.mcapi` file's `// delivery:` header supplies the delivery model when
+//! no `--delivery` flag is given; an unknown model there is a usage error
+//! like a misspelt flag. `repeat` loops are
 //! unrolled at compile time; `--unroll N` sets the iteration bound
 //! (precedence: flag > the file's `// unroll:` header > default 64 —
 //! each level replaces the bound, in either direction).
@@ -70,9 +74,8 @@ use mcapi::types::DeliveryModel;
 use std::io::Read;
 use std::path::Path;
 use std::process::ExitCode;
-use symbolic::checker::{
-    check_program, enumerate_matchings, generate_trace, CheckConfig, MatchGen, Verdict,
-};
+use symbolic::checker::{enumerate_matchings, generate_trace, CheckConfig, MatchGen, Verdict};
+use symbolic::session::SessionPool;
 
 /// The `--delivery` flag, if present. A typo is a usage error: falling
 /// back to unordered here would silently override a file's
@@ -220,7 +223,7 @@ fn load_program(
     unroll: Option<u64>,
 ) -> Result<(Program, frontend::Directives), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let directives = frontend::directives(&text);
+    let directives = frontend::directives(&text).map_err(|e| format!("{path}: {e}"))?;
     match parse_source(path, &text, unroll) {
         Ok(p) => Ok((p, directives)),
         Err(e) => Err(format!("{path}: {e}")),
@@ -270,44 +273,44 @@ fn list_programs() {
     println!("legacy aliases: delay-gap pipeline scatter ring");
 }
 
-/// `check` with the explicit-state engine (ground truth; no encoding).
-/// Returns the exploration result alongside the exit code so the caller
-/// can feed the observability outputs.
-fn check_explicit(
+/// Portfolio defaults with the engine flags a command accepts applied:
+/// `--budget-ms`, `--max-paths` (else `max_paths`) and `--no-canonical`.
+fn engine_config(args: &[String], max_paths: usize) -> Result<PortfolioConfig, String> {
+    Ok(PortfolioConfig {
+        budget_ms: parse_flag_strict(args, "--budget-ms")?,
+        max_paths: parse_flag_strict(args, "--max-paths")?.map_or(max_paths, |n| n as usize),
+        canonical: !args.iter().any(|a| a == "--no-canonical"),
+        ..PortfolioConfig::default()
+    })
+}
+
+/// The [`PortfolioConfig`] the single-program commands (`check`, `explore`,
+/// `corpus-check`) run under: a wider path frontier than a grid's.
+fn single_config(args: &[String]) -> Result<PortfolioConfig, String> {
+    engine_config(args, 256)
+}
+
+/// Run one engine on one program through the driver's dispatch
+/// ([`run_engine`]) on a fresh session pool, with no triage pre-pass.
+fn run_single(
     program: &Program,
     delivery: DeliveryModel,
-    canonical: bool,
-) -> (ExitCode, explicit::ExploreResult) {
-    use explicit::{ExploreConfig, GraphExplorer};
-    let cfg = ExploreConfig {
-        use_canonical: canonical,
-        ..ExploreConfig::with_model(delivery)
-    };
-    let r = GraphExplorer::new(program, cfg).explore();
-    println!(
-        "program: {} | delivery: {delivery} | engine: explicit",
-        program.name
-    );
-    println!(
-        "states: {} | transitions: {} | behaviours: {}",
-        r.states,
-        r.transitions,
-        r.matchings.len()
-    );
-    let code = if r.found_violation() {
-        println!("verdict: VIOLATION");
-        for v in &r.violations {
-            println!("  {v}");
-        }
-        ExitCode::from(1)
-    } else if r.truncated {
-        println!("verdict: UNKNOWN (state budget exhausted at {})", r.states);
-        ExitCode::from(3)
-    } else {
-        println!("verdict: SAFE");
-        ExitCode::SUCCESS
-    };
-    (code, r)
+    engine: Engine,
+    cfg: &PortfolioConfig,
+) -> (Scenario, EngineRun) {
+    let spec = ProgramSpec::source(program.name.clone(), program.clone());
+    let scenario = Scenario::new(spec, delivery, engine);
+    let run = run_engine(program, &scenario, cfg, &mut SessionPool::new());
+    (scenario, run)
+}
+
+/// The exit code of one verdict: 0 safe, 1 violation, 3 unknown.
+fn verdict_exit(verdict: VerdictKind) -> u8 {
+    match verdict {
+        VerdictKind::Safe => 0,
+        VerdictKind::Violation => 1,
+        VerdictKind::Unknown | VerdictKind::Skipped => 3,
+    }
 }
 
 /// The three observability output flags shared by `check` and the
@@ -403,8 +406,7 @@ fn portfolio(args: &[String], mode: Mode) -> Result<ExitCode, String> {
             .map(|n| n.get())
             .unwrap_or(1),
     };
-    let budget_ms = parse_flag_strict(args, "--budget-ms")?;
-    let max_paths = parse_flag_strict(args, "--max-paths")?;
+    let base = engine_config(args, PortfolioConfig::default().max_paths)?;
 
     let specs: Vec<FamilySpec> = match strict_value(args, "--families")? {
         Some(list) => {
@@ -443,16 +445,12 @@ fn portfolio(args: &[String], mode: Mode) -> Result<ExitCode, String> {
         scenarios.append(&mut extra);
     }
 
-    let defaults = PortfolioConfig::default();
     let cfg = PortfolioConfig {
         threads,
         mode,
-        budget_ms,
         session_reuse: !has("--no-session-reuse"),
-        canonical: !has("--no-canonical"),
         static_triage: !has("--no-static-triage"),
-        max_paths: max_paths.map_or(defaults.max_paths, |n| n as usize),
-        ..defaults
+        ..base
     };
     let tracer = outputs.trace_out.as_ref().map(|_| trace::Tracer::new());
     let report = {
@@ -489,6 +487,7 @@ fn corpus_check(args: &[String]) -> Result<ExitCode, String> {
     let dir = positional(args).ok_or_else(|| usage("corpus-check"))?;
     let min = parse_flag_strict(args, "--min")?.unwrap_or(21) as usize;
     let slowest = parse_flag_strict(args, "--slowest")?.unwrap_or(0) as usize;
+    let cfg = single_config(args)?;
     let files = corpus_files(Path::new(dir))?;
     println!("{} corpus files", files.len());
     let mut fail = false;
@@ -525,24 +524,12 @@ fn corpus_check(args: &[String]) -> Result<ExitCode, String> {
         };
         // Mirror `check --engine symbolic-paths` defaults: header
         // delivery (or unordered), over-approximating match pairs with
-        // refinement, 256-path frontier.
-        let pcfg = symbolic::paths::PathsConfig {
-            check: CheckConfig {
-                delivery: directives.delivery.unwrap_or(DeliveryModel::Unordered),
-                matchgen: MatchGen::OverApprox,
-                ..CheckConfig::default()
-            },
-            max_paths: 256,
-            ..symbolic::paths::PathsConfig::default()
-        };
-        let report = symbolic::paths::check_program_paths(&program, &pcfg);
+        // refinement, the single-program path frontier.
+        let delivery = directives.delivery.unwrap_or(DeliveryModel::Unordered);
+        let (scenario, run) = run_single(&program, delivery, Engine::SymbolicPaths, &cfg);
+        let got = verdict_exit(run.outcome(&scenario).verdict);
         let wall_ms = file_start.elapsed().as_millis() as u64;
         timings.push((shown.to_string(), wall_ms));
-        let got = match &report.verdict {
-            Verdict::Safe => 0u8,
-            Verdict::Violation(_) => 1,
-            Verdict::Unknown(_) => 3,
-        };
         if got != want {
             println!("{shown}: expected {expect} (exit {want}), got exit {got} [{wall_ms} ms]");
             fail = true;
@@ -602,12 +589,15 @@ fn lint_cmd(args: &[String]) -> Result<ExitCode, String> {
                 continue;
             }
         };
-        // Unroll precedence mirrors `check`: flag > header > default.
-        let unroll = match unroll_flag.or(frontend::directives(&text).unroll.map(|n| n as u64)) {
-            Some(n) => UnrollConfig::with_max_count(n as usize),
-            None => UnrollConfig::default(),
-        };
-        let report = match frontend::lint_source(&text, &unroll) {
+        let report = frontend::directives(&text).and_then(|d| {
+            // Unroll precedence mirrors `check`: flag > header > default.
+            let unroll = match unroll_flag.or(d.unroll.map(|n| n as u64)) {
+                Some(n) => UnrollConfig::with_max_count(n as usize),
+                None => UnrollConfig::default(),
+            };
+            frontend::lint_source(&text, &unroll)
+        });
+        let report = match report {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("{shown}: {e}");
@@ -784,8 +774,15 @@ fn program_command(cmd: &str, args: &[String]) -> Result<ExitCode, String> {
             Ok(ExitCode::SUCCESS)
         }
         "explore" => {
-            use explicit::{ExploreConfig, GraphExplorer};
-            let r = GraphExplorer::new(&program, ExploreConfig::with_model(delivery)).explore();
+            // Ground truth over every interleaving: no canonical pruning.
+            let cfg = PortfolioConfig {
+                canonical: false,
+                ..single_config(args)?
+            };
+            let (scenario, run) = run_single(&program, delivery, Engine::Explicit, &cfg);
+            let EngineRun::Explicit(r) = &run else {
+                unreachable!("the explicit engine returns an exploration")
+            };
             println!(
                 "states: {} | transitions: {} | behaviours: {} | deadlocks: {}",
                 r.states,
@@ -796,7 +793,11 @@ fn program_command(cmd: &str, args: &[String]) -> Result<ExitCode, String> {
             for v in &r.violations {
                 println!("violation: {v}");
             }
-            Ok(exit_code(r.found_violation(), false))
+            let out = run.outcome(&scenario);
+            if out.verdict == VerdictKind::Unknown {
+                println!("verdict: UNKNOWN ({})", out.detail);
+            }
+            Ok(ExitCode::from(verdict_exit(out.verdict)))
         }
         _ => {
             let seed = parse_flag_strict(args, "--seed")?.unwrap_or(0);
@@ -831,129 +832,115 @@ fn check(args: &[String], program: &Program, delivery: DeliveryModel) -> Result<
     };
     // Validate --budget-ms/--max-paths before engine dispatch so a
     // malformed value is a usage error on every engine.
-    let budget_ms = parse_flag_strict(args, "--budget-ms")?;
-    let max_paths = parse_flag_strict(args, "--max-paths")?;
-    if max_paths.is_some() && engine != Engine::SymbolicPaths {
+    let cfg = single_config(args)?;
+    if has("--max-paths") && engine != Engine::SymbolicPaths {
         eprintln!(
             "note: --max-paths bounds the symbolic-paths frontier; \
              the {} engine analyses one trace and ignores it",
             engine.tag()
         );
     }
-    let canonical = !has("--no-canonical");
     let outputs = output_flags(args)?;
+    if has("--budget-ms") && engine == Engine::Explicit {
+        eprintln!(
+            "note: --budget-ms bounds the symbolic solve/refine loop; \
+             the explicit engine is bounded by state count and ignores it"
+        );
+    }
     let tracer = outputs.trace_out.as_ref().map(|_| trace::Tracer::new());
     let start = std::time::Instant::now();
-    let mut out = ScenarioOutcome::skipped(
-        program.name.clone(),
-        "file".to_string(),
-        delivery.to_string(),
-        engine.tag().to_string(),
-    );
-    let code = if engine == Engine::Explicit {
-        if budget_ms.is_some() {
-            eprintln!(
-                "note: --budget-ms bounds the symbolic solve/refine loop; \
-                 the explicit engine is bounded by state count and ignores it"
-            );
-        }
-        let (code, result) = {
-            let _lane = tracer.as_ref().map(|t| t.install("main"));
-            check_explicit(program, delivery, canonical)
-        };
-        fill_explicit_outcome(&mut out, &result);
-        code
-    } else {
-        let matchgen = match engine {
-            Engine::Symbolic(m) => m,
-            _ => MatchGen::OverApprox,
-        };
-        let cfg = CheckConfig {
-            delivery,
-            matchgen,
-            budget_ms,
-            ..CheckConfig::default()
-        };
-        let path_complete = engine == Engine::SymbolicPaths;
-        let report = {
-            let _lane = tracer.as_ref().map(|t| t.install("main"));
-            if path_complete {
-                let pcfg = symbolic::paths::PathsConfig {
-                    check: cfg,
-                    max_paths: max_paths.unwrap_or(256) as usize,
-                    canonical,
-                    ..symbolic::paths::PathsConfig::default()
-                };
-                symbolic::paths::check_program_paths(program, &pcfg)
-            } else {
-                check_program(program, &cfg)
-            }
-        };
-        if path_complete {
-            println!(
-                "program: {} | delivery: {delivery} | engine: symbolic-paths",
-                program.name
-            );
-        } else {
-            println!(
-                "program: {} | delivery: {delivery} | matchgen: {matchgen:?}",
-                program.name
-            );
-        }
-        println!(
-            "encoding: {} vars, {} clauses, {} atoms | match-pairs: {} ({} states)",
-            report.encode_stats.sat_vars,
-            report.encode_stats.sat_clauses,
-            report.encode_stats.theory_atoms,
-            report.matchgen_pairs,
-            report.matchgen_states,
-        );
-        if path_complete {
-            println!(
-                "paths: {} explored, {} pruned | directed: {} transitions, {} canonical-skipped",
-                report.paths_explored,
-                report.paths_pruned,
-                report.directed_transitions,
-                report.canonical_skipped,
-            );
-        }
-        let code = match &report.verdict {
-            Verdict::Safe if path_complete => {
-                println!("verdict: SAFE (all feasible control-flow paths)");
-                ExitCode::SUCCESS
-            }
-            Verdict::Safe => {
-                println!("verdict: SAFE (no violation within this trace's branches)");
-                ExitCode::SUCCESS
-            }
-            Verdict::Violation(cv) => {
-                println!("verdict: VIOLATION");
-                if let Some(path) = &cv.branch_path {
-                    println!("  path: {path}");
-                }
-                for m in &cv.violated_props {
-                    println!("  property: {m}");
-                }
-                for (r, s) in &cv.witness.matching {
-                    println!("  {r:?} <- {s:?}");
-                }
-                if let Some(v) = &cv.violation {
-                    println!("  replayed: {v}");
-                }
-                ExitCode::from(1)
-            }
-            Verdict::Unknown(why) => {
-                println!("verdict: UNKNOWN ({why})");
-                ExitCode::from(3)
-            }
-        };
-        fill_symbolic_outcome(&mut out, report, false);
-        code
+    let (scenario, run) = {
+        let _lane = tracer.as_ref().map(|t| t.install("main"));
+        run_single(program, delivery, engine, &cfg)
     };
+    let mut out = run.outcome(&scenario);
+    print_check(&scenario, &run, &out);
+    let code = ExitCode::from(verdict_exit(out.verdict));
+    // The single scenario is recorded under the program's own name.
+    out.scenario = program.name.clone();
+    out.family = "file".to_string();
     out.wall_ms = start.elapsed().as_millis() as u64;
     let report = PortfolioReport::from_outcomes("check", 1, out.wall_ms, vec![out]);
     write_outputs(&outputs, &report, tracer.as_ref())?;
     Ok(code)
+}
+
+/// Print `check`'s report of one engine run: the configuration, the
+/// engine's work, then the verdict with its witness.
+fn print_check(scenario: &Scenario, run: &EngineRun, out: &ScenarioOutcome) {
+    let (name, delivery) = (scenario.spec.name(), scenario.delivery);
+    match scenario.engine {
+        Engine::Symbolic(matchgen) => {
+            println!("program: {name} | delivery: {delivery} | matchgen: {matchgen:?}")
+        }
+        engine => println!(
+            "program: {name} | delivery: {delivery} | engine: {}",
+            engine.tag()
+        ),
+    }
+    match run {
+        EngineRun::Explicit(r) => println!(
+            "states: {} | transitions: {} | behaviours: {}",
+            r.states,
+            r.transitions,
+            r.matchings.len()
+        ),
+        EngineRun::Symbolic { report, .. } => {
+            println!(
+                "encoding: {} vars, {} clauses, {} atoms | match-pairs: {} ({} states)",
+                report.encode_stats.sat_vars,
+                report.encode_stats.sat_clauses,
+                report.encode_stats.theory_atoms,
+                report.matchgen_pairs,
+                report.matchgen_states,
+            );
+            if scenario.engine == Engine::SymbolicPaths {
+                println!(
+                    "paths: {} explored, {} pruned | directed: {} transitions, {} canonical-skipped",
+                    report.paths_explored,
+                    report.paths_pruned,
+                    report.directed_transitions,
+                    report.canonical_skipped,
+                );
+            }
+        }
+    }
+    match (out.verdict, run) {
+        (VerdictKind::Unknown | VerdictKind::Skipped, _) => {
+            println!("verdict: UNKNOWN ({})", out.detail)
+        }
+        (VerdictKind::Safe, EngineRun::Explicit(_)) => println!("verdict: SAFE"),
+        (VerdictKind::Safe, _) if scenario.engine == Engine::SymbolicPaths => {
+            println!("verdict: SAFE (all feasible control-flow paths)")
+        }
+        (VerdictKind::Safe, _) => {
+            println!("verdict: SAFE (no violation within this trace's branches)")
+        }
+        (VerdictKind::Violation, EngineRun::Explicit(r)) => {
+            println!("verdict: VIOLATION");
+            for v in &r.violations {
+                println!("  {v}");
+            }
+        }
+        (VerdictKind::Violation, EngineRun::Symbolic { report, .. }) => {
+            println!("verdict: VIOLATION");
+            let Verdict::Violation(cv) = &report.verdict else {
+                return;
+            };
+            if let Some(path) = &cv.branch_path {
+                println!("  path: {path}");
+            }
+            for m in &cv.violated_props {
+                println!("  property: {m}");
+            }
+            for (r, s) in &cv.witness.matching {
+                println!("  {r:?} <- {s:?}");
+            }
+            if let Some(v) = &cv.violation {
+                println!("  replayed: {v}");
+            }
+        }
+    }
 }
 
 fn main() -> ExitCode {

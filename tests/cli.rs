@@ -128,6 +128,99 @@ fn loop_storm_corpus_file_degrades_to_unknown() {
     assert_eq!(out.status.code(), Some(3), "path blowup => UNKNOWN, exit 3");
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("UNKNOWN"), "{stdout}");
+
+    // The explicit search stops at its state cap: an incomplete search is
+    // UNKNOWN (exit 3), never a clean exit 0.
+    let out = bin()
+        .args(["explore", corpus.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(out.status.code(), Some(3), "{stdout}");
+    assert!(
+        stdout.contains("verdict: UNKNOWN (state budget exhausted at 1000000)"),
+        "{stdout}"
+    );
+}
+
+/// `corpus/delay-gap1-zero.mcapi` with its `// delivery: zero-delay`
+/// header misspelt: dropping the header would check it under unordered
+/// delivery and report a VIOLATION the intended model does not have.
+fn misspelt_delivery_header() -> String {
+    let corpus =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus/delay-gap1-zero.mcapi");
+    let text = std::fs::read_to_string(corpus).unwrap();
+    assert!(text.contains("// delivery: zero-delay\n"));
+    text.replace("// delivery: zero-delay\n", "// delivery: zero-dealy\n")
+}
+
+#[test]
+fn unknown_delivery_header_is_a_usage_error() {
+    let path = write_temp("delay-gap1-zero-dealy.mcapi", &misspelt_delivery_header());
+    let file = path.to_str().unwrap();
+    for cmd in ["check", "behaviours", "explore", "run"] {
+        let out = bin().args([cmd, file]).output().unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{cmd}: {stderr}");
+        assert!(stderr.contains(file), "{cmd} names the file: {stderr}");
+        assert!(
+            stderr.contains("`zero-dealy`"),
+            "{cmd} names the value: {stderr}"
+        );
+    }
+    // `lint` reports the file as a failing finding (its own exit contract).
+    let out = bin().args(["lint", file]).output().unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(1), "lint: {stderr}");
+    assert!(stderr.contains("`zero-dealy`"), "lint: {stderr}");
+    // `sweep --corpus` loads the directory before running anything.
+    let dir = write_corpus(
+        "bad-delivery-sweep",
+        &[("d.mcapi", &misspelt_delivery_header())],
+    );
+    let out = bin()
+        .args([
+            "sweep",
+            "--corpus",
+            dir.to_str().unwrap(),
+            "--families",
+            "fig1",
+        ])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("d.mcapi") && stderr.contains("`zero-dealy`"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn corpus_check_fails_a_file_with_an_unknown_delivery_header() {
+    let dir = write_corpus(
+        "bad-delivery",
+        &[
+            ("a-safe.mcapi", SAFE_SRC),
+            ("d.mcapi", &misspelt_delivery_header()),
+        ],
+    );
+    let out = bin()
+        .args(["corpus-check", dir.to_str().unwrap(), "--min", "2"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(1), "{stdout}{stderr}");
+    assert!(stdout.contains("a-safe.mcapi: safe (ok)"), "{stdout}");
+    assert!(
+        !stdout.contains("d.mcapi"),
+        "the bad file is not checked: {stdout}"
+    );
+    assert!(
+        stderr.contains("d.mcapi") && stderr.contains("`zero-dealy`"),
+        "{stderr}"
+    );
 }
 
 /// The UNKNOWN-never-silent-SAFE ceiling contract on a storm the solver

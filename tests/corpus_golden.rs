@@ -67,7 +67,7 @@ fn every_corpus_file_parses_and_declares_an_expectation() {
             path.display()
         );
         assert!(
-            directives(&text).expect.is_some(),
+            directives(&text).unwrap().expect.is_some(),
             "{} is missing its `// expect:` header",
             path.display()
         );
@@ -79,7 +79,7 @@ fn corpus_verdicts_match_their_expect_headers() {
     for path in corpus_files() {
         let text = std::fs::read_to_string(&path).unwrap();
         let program = parse_program(&text).unwrap();
-        let d = directives(&text);
+        let d = directives(&text).unwrap();
         let cfg = PathsConfig {
             check: CheckConfig {
                 delivery: d.delivery.unwrap_or(DeliveryModel::Unordered),
@@ -293,7 +293,7 @@ fn corpus_lint_findings_match_their_expect_lint_headers() {
     use mcapi::program::UnrollConfig;
     for path in corpus_files() {
         let text = std::fs::read_to_string(&path).unwrap();
-        let unroll = match directives(&text).unroll {
+        let unroll = match directives(&text).unwrap().unroll {
             Some(n) => UnrollConfig::with_max_count(n),
             None => UnrollConfig::default(),
         };
