@@ -14,20 +14,15 @@
 //!   committed baseline and exit non-zero if any regresses by more than
 //!   20%, or if session reuse stops saving at least 20% of
 //!   conflicts + propagations.
-//! * `exp_portfolio --trend PATH` — run the pinned grid once (shared
-//!   sessions, 1 thread, sweep) and append one schema-versioned JSON line
-//!   (git rev, UTC date, deterministic counters, wall clock) to the
-//!   `BENCH_trend.jsonl` ledger at PATH. Append-only, so CI can chart the
-//!   counters across commits.
-//! * `exp_portfolio --trend-table PATH [--last N]` — render the ledger's
-//!   last N records (default 10) as a markdown table on stdout, for
-//!   `$GITHUB_STEP_SUMMARY`.
 //! * `exp_portfolio --trace-out PATH` — the tracing-neutrality gate: run
 //!   the pinned grid untraced, then again with hierarchical tracing
 //!   enabled, write the Chrome trace-event JSON of the traced run to
 //!   PATH (load it in Perfetto), and exit non-zero if tracing changed
 //!   any scenario outcome field other than the timings. Runs alone (not
 //!   combined with `--json`).
+//!
+//! Any other argument list prints the usage line and exits 2, so a
+//! mistyped flag cannot silently skip a gate.
 //!
 //! Run: `cargo run --release -p bench --bin exp_portfolio [args]`
 
@@ -236,8 +231,7 @@ fn pinned_grid_report() -> PerfGateReport {
     // session sharing, Mazurkiewicz pruning), and triage settling the
     // assert-free points engine-free would shrink the measured work on
     // both sides until the ratios stop meaning anything. The main pinned
-    // grid above keeps the default (triage on), so the trend ledger
-    // tracks how many scenarios settle statically.
+    // grid above keeps the portfolio default (triage on).
     let (paths_reuse, paths_report) = run_full(&paths_scenarios, true, true, false);
     let paths_no_reuse = run_full(&paths_scenarios, false, true, false).0;
     // The canonicalization gate: the same grid with the normal-form
@@ -532,88 +526,61 @@ fn traced_grid_gate(path: &str) -> ExitCode {
     }
 }
 
-/// `--trend PATH`: run the pinned grid once and append one trend record.
-fn trend_append(path: &str) -> ExitCode {
-    const GRID_DESC: &str =
-        "default_grid(1) x all deliveries x all engines, 1 thread, sweep, session reuse";
-    let grid = default_grid(1);
-    let scenarios = cross(&grid, &DeliveryModel::ALL, &Engine::ALL);
-    let cfg = PortfolioConfig {
-        threads: 1,
-        mode: Mode::Sweep,
-        session_reuse: true,
-        ..PortfolioConfig::default()
-    };
-    let report = run_portfolio(&scenarios, &cfg);
-    let record = driver::trend::TrendRecord::from_report(&report, GRID_DESC);
-    if let Err(e) = driver::trend::append_record(std::path::Path::new(path), &record) {
-        eprintln!("{e}");
-        return ExitCode::from(2);
-    }
-    println!(
-        "appended trend record to {path}: rev {} date {} | {} scenarios, {} ms, {} sat checks, {} conflicts, {} propagations",
-        record.git_rev,
-        record.date,
-        record.scenarios,
-        record.wall_ms,
-        record.sat_checks,
-        record.conflicts,
-        record.propagations,
-    );
-    ExitCode::SUCCESS
+const USAGE: &str =
+    "usage: exp_portfolio [scale] [threads] | --json PATH [--check BASELINE] | --trace-out PATH";
+
+/// One invocation; [`parse_args`] accepts these forms and nothing else.
+#[derive(Debug, PartialEq)]
+enum Command {
+    /// `[scale] [threads]`: the wall-clock table (`threads` defaults to
+    /// the host's parallelism).
+    Table {
+        scale: usize,
+        max_threads: Option<usize>,
+    },
+    /// `--json PATH [--check BASELINE]`: the counter gate.
+    PerfGate {
+        json: String,
+        baseline: Option<String>,
+    },
+    /// `--trace-out PATH`: the tracing-neutrality gate.
+    TraceOut(String),
 }
 
-/// `--trend-table PATH [--last N]`: markdown table of the newest records.
-fn trend_table(path: &str, last: usize) -> ExitCode {
-    match driver::trend::load_records(std::path::Path::new(path)) {
-        Ok(records) => {
-            print!("{}", driver::trend::render_markdown(&records, last));
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::from(2)
-        }
+/// Parse the argument list, or `None` for anything outside the usage
+/// line: an unknown flag, a flag without its value, a non-numeric
+/// scale or thread count, `--check` without `--json`.
+fn parse_args(args: &[String]) -> Option<Command> {
+    let value = |v: &str| (!v.starts_with("--")).then(|| v.to_string());
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    match args[..] {
+        ["--trace-out", path] => value(path).map(Command::TraceOut),
+        ["--json", json] => Some(Command::PerfGate {
+            json: value(json)?,
+            baseline: None,
+        }),
+        ["--json", json, "--check", baseline] => Some(Command::PerfGate {
+            json: value(json)?,
+            baseline: Some(value(baseline)?),
+        }),
+        [] => Some(Command::Table {
+            scale: 2,
+            max_threads: None,
+        }),
+        [scale] => Some(Command::Table {
+            scale: scale.parse().ok()?,
+            max_threads: None,
+        }),
+        [scale, threads] => Some(Command::Table {
+            scale: scale.parse().ok()?,
+            max_threads: Some(threads.parse().ok()?),
+        }),
+        _ => None,
     }
 }
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-
-    if let Some(path) = flag_value(&args, "--trace-out") {
-        return traced_grid_gate(path);
-    }
-    if let Some(path) = flag_value(&args, "--trend") {
-        return trend_append(path);
-    }
-    if let Some(path) = flag_value(&args, "--trend-table") {
-        let last = flag_value(&args, "--last")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(10);
-        return trend_table(path, last);
-    }
-    if let Some(json_path) = flag_value(&args, "--json") {
-        return perf_gate(json_path, flag_value(&args, "--check"));
-    }
-    if args.iter().any(|a| a == "--check") {
-        eprintln!("--check requires --json PATH");
-        return ExitCode::from(2);
-    }
-
-    let scale: usize = args.first().and_then(|s| s.parse().ok()).unwrap_or(2);
-    let max_threads: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-    });
-
+/// `[scale] [threads]`: the wall-clock table on 1, 2, 4, … workers.
+fn wall_clock_table(scale: usize, max_threads: usize) -> ExitCode {
     let scenarios = cross(&default_grid(scale), &DeliveryModel::ALL, &Engine::ALL);
     println!(
         "# E7: portfolio wall clock, {} scenarios (scale {scale})\n",
@@ -644,4 +611,89 @@ fn main() -> ExitCode {
         threads *= 2;
     }
     ExitCode::SUCCESS
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match parse_args(&args) {
+        Some(Command::TraceOut(path)) => traced_grid_gate(&path),
+        Some(Command::PerfGate { json, baseline }) => perf_gate(&json, baseline.as_deref()),
+        Some(Command::Table { scale, max_threads }) => {
+            let max_threads = max_threads.unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(4)
+            });
+            wall_clock_table(scale, max_threads)
+        }
+        None => {
+            eprintln!("exp_portfolio: unrecognised arguments: {}", args.join(" "));
+            eprintln!("{USAGE}");
+            ExitCode::from(2)
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Option<Command> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn accepts_the_three_documented_forms() {
+        assert_eq!(
+            parse(&[]),
+            Some(Command::Table {
+                scale: 2,
+                max_threads: None
+            })
+        );
+        assert_eq!(
+            parse(&["1", "4"]),
+            Some(Command::Table {
+                scale: 1,
+                max_threads: Some(4)
+            })
+        );
+        assert_eq!(
+            parse(&["--json", "g.json"]),
+            Some(Command::PerfGate {
+                json: "g.json".into(),
+                baseline: None
+            })
+        );
+        assert_eq!(
+            parse(&["--json", "g.json", "--check", "BENCH_portfolio.json"]),
+            Some(Command::PerfGate {
+                json: "g.json".into(),
+                baseline: Some("BENCH_portfolio.json".into())
+            })
+        );
+        assert_eq!(
+            parse(&["--trace-out", "t.json"]),
+            Some(Command::TraceOut("t.json".into()))
+        );
+    }
+
+    #[test]
+    fn rejects_everything_else() {
+        for args in [
+            &["--json", "g.json", "--chek", "BENCH_portfolio.json"][..],
+            &["--last", "5"],
+            &["abc"],
+            &["1", "x"],
+            &["1", "2", "3"],
+            &["--json"],
+            &["--json", "--check", "b.json"],
+            &["--trace-out"],
+            &["--check", "BENCH_portfolio.json"],
+            &["--trace-out", "t.json", "--json", "g.json"],
+        ] {
+            assert_eq!(parse(args), None, "{args:?}");
+        }
+    }
 }

@@ -1,6 +1,7 @@
-//! Experiment harness crate: criterion benches live in `benches/`, the
-//! per-figure experiment binaries in `src/bin/` (`exp_*`). See
-//! `EXPERIMENTS.md` at the workspace root for the experiment index.
+//! Experiment harness crate: the per-figure experiment binaries live in
+//! `src/bin/` (`exp_*`); this library holds the markdown-table helpers
+//! they share. Run one with
+//! `cargo run --release -p bench --bin <name>`.
 
 /// Format a markdown table row.
 pub fn row(cells: &[String]) -> String {

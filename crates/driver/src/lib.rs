@@ -58,7 +58,6 @@ pub mod pool;
 pub mod report;
 pub mod runner;
 pub mod scenario;
-pub mod trend;
 
 pub use report::{PortfolioReport, ScenarioEvent, ScenarioOutcome, VerdictKind};
 pub use runner::{
@@ -68,7 +67,6 @@ pub use scenario::{
     batch_by_grid_point, corpus_files, corpus_scenarios, corpus_specs, cross, Engine, GridBatch,
     ProgramSpec, Scenario,
 };
-pub use trend::{TrendRecord, TREND_SCHEMA_VERSION};
 pub use workloads::grid::FamilySpec;
 
 /// Everything needed to assemble and run a portfolio.

@@ -344,6 +344,28 @@ mod tests {
     }
 
     #[test]
+    fn race_assert_violation_found_by_every_search() {
+        use crate::sleepset::{SleepConfig, SleepSetExplorer};
+        for n in [3, 5] {
+            let p = workloads::race_with_winner_assert(n);
+            let full = GraphExplorer::new(&p, ExploreConfig::with_model(DeliveryModel::Unordered))
+                .explore();
+            assert!(full.found_violation(), "graph, n = {n}");
+            let first = ExploreConfig {
+                stop_at_first_violation: true,
+                track_matchings: false,
+                ..ExploreConfig::with_model(DeliveryModel::Unordered)
+            };
+            assert!(
+                GraphExplorer::new(&p, first).explore().found_violation(),
+                "first violation, n = {n}"
+            );
+            let sleep = SleepSetExplorer::new(&p, SleepConfig::default()).explore();
+            assert!(sleep.found_violation(), "sleep sets, n = {n}");
+        }
+    }
+
+    #[test]
     fn max_states_truncates() {
         let p = fig1();
         let cfg = ExploreConfig {

@@ -686,6 +686,60 @@ mod tests {
     }
 
     #[test]
+    fn stacked_disjunctive_diamonds_are_sat() {
+        // Per layer: prev < l < next or prev < r < next — Boolean search
+        // interleaved with theory checks.
+        for n in [10, 20, 40] {
+            let mut s = SmtSolver::new();
+            let mut prev = s.int_var("v0");
+            for i in 0..n {
+                let left = s.int_var(format!("l{i}"));
+                let right = s.int_var(format!("r{i}"));
+                let next = s.int_var(format!("v{}", i + 1));
+                let a1 = s.lt(prev, left);
+                let a2 = s.lt(left, next);
+                let left_path = s.and2(a1, a2);
+                let b1 = s.lt(prev, right);
+                let b2 = s.lt(right, next);
+                let right_path = s.and2(b1, b2);
+                let either = s.or2(left_path, right_path);
+                s.assert_term(either);
+                prev = next;
+            }
+            assert_eq!(s.check(), SatResult::Sat, "{n} diamonds");
+        }
+    }
+
+    #[test]
+    fn match_lattice_is_sat() {
+        // The encoder's shape: k racing sends matched by k receives with
+        // pairwise-distinct identifiers.
+        for k in [3, 5, 7] {
+            let mut s = SmtSolver::new();
+            let send_clk: Vec<_> = (0..k).map(|i| s.int_var(format!("s{i}"))).collect();
+            let recv_clk: Vec<_> = (0..k).map(|i| s.int_var(format!("r{i}"))).collect();
+            let ids: Vec<_> = (0..k).map(|i| s.int_var(format!("id{i}"))).collect();
+            for r in 0..k {
+                let mut opts = Vec::new();
+                for (snd, &sc) in send_clk.iter().enumerate() {
+                    let before = s.lt(sc, recv_clk[r]);
+                    let bind = s.eq_const(ids[r], snd as i64);
+                    opts.push(s.and2(before, bind));
+                }
+                let any = s.or(opts);
+                s.assert_term(any);
+            }
+            for i in 0..k {
+                for j in (i + 1)..k {
+                    let d = s.ne(ids[i], ids[j]);
+                    s.assert_term(d);
+                }
+            }
+            assert_eq!(s.check(), SatResult::Sat, "k = {k}");
+        }
+    }
+
+    #[test]
     fn model_respects_strict_chains() {
         let mut s = SmtSolver::new();
         let vars: Vec<TermId> = (0..6).map(|i| s.int_var(format!("c{i}"))).collect();

@@ -787,6 +787,30 @@ mod tests {
     }
 
     #[test]
+    fn race_enumeration_admits_n_factorial_matchings() {
+        // Every receive of race(n) can take every send: the encoding
+        // admits exactly the n! matchings, enumerated via blocking clauses.
+        for (n, expect) in [(3, 6), (4, 24)] {
+            let p = workloads::race(n);
+            let tr = crate::checker::generate_trace(&p, &crate::checker::CheckConfig::default());
+            let pairs = overapprox_match_pairs(&p, &tr);
+            let mut enc = encode(
+                &p,
+                &tr,
+                &pairs,
+                EncodeOptions {
+                    delivery: DeliveryModel::Unordered,
+                    negate_props: false,
+                    ..Default::default()
+                },
+            );
+            let ids = enc.id_terms();
+            let models = enc.solver.enumerate_models(&ids, 100_000);
+            assert_eq!(models.len(), expect, "race({n})");
+        }
+    }
+
+    #[test]
     fn fig1_zero_delay_encoding_finds_one_pairing() {
         let p = fig1();
         let tr = complete_trace(&p);

@@ -1,12 +1,11 @@
-//! Observability format stability: the Prometheus exposition, the
-//! structured event log, and the perf-trend ledger are all consumed
-//! outside this repository (scrapers, CI summaries, dashboards), so
-//! their shapes are snapshot-tested here. A failure means a downstream
-//! consumer would break — change the format deliberately, then update
-//! the snapshot and bump the relevant schema version.
+//! Observability format stability: the Prometheus exposition and the
+//! structured event log are both consumed outside this repository
+//! (scrapers, dashboards), so their shapes are snapshot-tested here. A
+//! failure means a downstream consumer would break — change the format
+//! deliberately, then update the snapshot and bump the relevant schema
+//! version.
 
 use driver::prelude::*;
-use driver::trend::{self, TrendRecord, TREND_SCHEMA_VERSION};
 use driver::ScenarioEvent;
 
 /// A deterministic symbolic outcome: every counter hand-pinned.
@@ -144,59 +143,4 @@ fn report_json_carries_timing_breakdown() {
     for key in ["encode_us", "solve_us", "schedule_us", "enumerate_us"] {
         assert!(json.contains(key), "report JSON lost {key}:\n{json}");
     }
-}
-
-fn sample_record(rev: &str) -> TrendRecord {
-    TrendRecord {
-        schema_version: TREND_SCHEMA_VERSION,
-        git_rev: rev.into(),
-        date: "2026-08-08".into(),
-        unix_time: 1_786_147_200,
-        grid: "pinned".into(),
-        scenarios: 144,
-        wall_ms: 40,
-        sat_checks: 112,
-        conflicts: 106,
-        propagations: 2596,
-        encodings_built: 19,
-        paths_explored: 112,
-        paths_pruned: 2,
-        directed_transitions: 3_795,
-        canonical_skipped: 4_387,
-        statically_decided: 6,
-    }
-}
-
-/// `--trend` is append-only: two runs append two records, each stamped
-/// with the current schema version, and existing lines are untouched.
-#[test]
-fn trend_ledger_appends_and_keeps_schema_version() {
-    let dir = std::env::temp_dir().join("mcapi-observability-tests");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("trend-{}.jsonl", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-
-    trend::append_record(&path, &sample_record("run1aaa")).unwrap();
-    let after_one = trend::load_records(&path).unwrap();
-    assert_eq!(after_one.len(), 1);
-
-    trend::append_record(&path, &sample_record("run2bbb")).unwrap();
-    let after_two = trend::load_records(&path).unwrap();
-    assert_eq!(after_two.len(), 2, "second run must append, not rewrite");
-    assert_eq!(after_two[0].git_rev, "run1aaa", "existing line rewritten");
-    assert_eq!(after_two[1].git_rev, "run2bbb");
-    assert!(after_two
-        .iter()
-        .all(|r| r.schema_version == TREND_SCHEMA_VERSION));
-
-    // The raw file is one compact JSON object per line with the version
-    // as its first key, so `jq`/line-oriented tooling can stream it.
-    let raw = std::fs::read_to_string(&path).unwrap();
-    for line in raw.lines() {
-        assert!(
-            line.starts_with("{\"schema_version\":1,"),
-            "trend line shape changed: {line}"
-        );
-    }
-    std::fs::remove_file(&path).unwrap();
 }

@@ -8,7 +8,7 @@ use symbolic::checker::{generate_trace, CheckConfig};
 use symbolic::encode::{encode, EncodeOptions};
 use symbolic::matchpairs::{overapprox_match_pairs, precise_match_pairs};
 use workloads::race::race;
-use workloads::{fig1, ring, scatter};
+use workloads::{fig1, pipeline, ring, scatter};
 
 #[test]
 fn encoder_formula_sizes_scale_linearly_in_events() {
@@ -65,15 +65,32 @@ fn precise_and_overapprox_encodings_equisatisfiable_here() {
 
 #[test]
 fn unsat_instances_from_deterministic_programs() {
-    // Rings are fully deterministic: with the violation query the formula
-    // must be UNSAT, and solving must be fast even for bigger rings.
-    for (n, laps) in [(3usize, 2usize), (4, 3), (5, 4)] {
-        let p = ring(n, laps);
+    // Rings are fully deterministic, and pipelines are under pairwise
+    // FIFO: with the violation query the formula must be UNSAT before any
+    // refinement, and solving must be fast even for bigger instances.
+    let rings = [(3usize, 2usize), (4, 3), (5, 4)]
+        .map(|(n, laps)| (ring(n, laps), DeliveryModel::Unordered));
+    let pipelines = [(3usize, 2usize), (4, 3), (5, 4)]
+        .map(|(stages, items)| (pipeline(stages, items), DeliveryModel::PairwiseFifo));
+    for (p, delivery) in rings.into_iter().chain(pipelines) {
         let cfg = CheckConfig::default();
         let trace = generate_trace(&p, &cfg);
         let pairs = overapprox_match_pairs(&p, &trace);
-        let mut enc = encode(&p, &trace, &pairs, EncodeOptions::default());
-        assert_eq!(enc.solver.check(), SatResult::Unsat, "ring({n},{laps})");
+        let mut enc = encode(
+            &p,
+            &trace,
+            &pairs,
+            EncodeOptions {
+                delivery,
+                ..EncodeOptions::default()
+            },
+        );
+        assert_eq!(
+            enc.solver.check(),
+            SatResult::Unsat,
+            "{} [{delivery}]",
+            p.name
+        );
     }
 }
 
