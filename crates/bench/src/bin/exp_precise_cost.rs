@@ -1,6 +1,11 @@
 //! E2: the cost of precise match-pair generation ("prohibitively
 //! expensive") vs the over-approximation, as the race widens.
 //!
+//! The "precise states" column counts the distinct states the precise DFS
+//! visits. Those are skeleton states keyed on what can change the future
+//! (per-thread pcs and the in-flight messages), not whole system states,
+//! so executions that differ only in history count once.
+//!
 //! Run: `cargo run --release -p bench --bin exp_precise_cost`
 
 use mcapi::types::DeliveryModel;

@@ -3,7 +3,7 @@
 //! (the paper's future-work item, closed here).
 
 use crate::encode::{EncodeStats, UniqueScope};
-use crate::matchpairs::{overapprox_match_pairs, precise_match_pairs, MatchPairs};
+use crate::matchpairs::{overapprox_match_pairs, precise_match_pairs_until, MatchPairs};
 use crate::session::{CheckSession, SessionPool};
 use crate::witness::{decode_witness, replay_witness, ReplayVerdict, Witness};
 use mcapi::program::Program;
@@ -35,12 +35,13 @@ pub struct CheckConfig {
     pub trace_seed: u64,
     /// Seeds tried to obtain a complete passing trace.
     pub trace_attempts: u64,
-    /// Wall-clock budget for the solve/refine loop, in milliseconds.
-    /// `None` means unbounded. When the budget runs out the verdict
-    /// degrades to [`Verdict::Unknown`] rather than a wrong answer. The
-    /// deadline is both checked between solver calls *and* handed to the
-    /// solver as a per-check deadline, so a single pathological SMT check
-    /// degrades to `Unknown` instead of blowing past the budget.
+    /// Wall-clock budget for match-pair generation and the solve/refine
+    /// loop, in milliseconds. `None` means unbounded. When the budget runs
+    /// out the verdict degrades to [`Verdict::Unknown`] rather than a wrong
+    /// answer. The deadline is polled by the precise match-pair DFS,
+    /// checked between solver calls *and* handed to the solver as a
+    /// per-check deadline, so neither a pathological DFS nor a single SMT
+    /// check blows past the budget.
     pub budget_ms: Option<u64>,
     /// Absolute deadline overriding `budget_ms` when set. Multi-trace
     /// drivers (the path-exploration layer) compute one deadline for the
@@ -466,6 +467,10 @@ pub fn check_trace(program: &Program, trace: &Trace, cfg: &CheckConfig) -> Check
 ///   the source was not truncated; any `Unknown` trace or truncation
 ///   yields `Unknown`.
 ///
+/// The deadline is fixed once, before the first trace: the source's own
+/// if it set one, else [`CheckConfig::resolve_deadline`]. Match-pair
+/// generation and every query share it.
+///
 /// Returns the report and whether the *first* trace landed on an encoding
 /// the pool already held. Sibling-path sharing inside one source is
 /// visible through [`SessionPool::paths_attached`] instead, so batch-level
@@ -477,7 +482,7 @@ pub fn check_source(
     cfg: &CheckConfig,
 ) -> (CheckReport, bool) {
     let cfg = CheckConfig {
-        deadline: source.deadline().or(cfg.deadline),
+        deadline: source.deadline().or_else(|| cfg.resolve_deadline()),
         ..*cfg
     };
     let mut agg = Aggregate::default();
@@ -712,10 +717,11 @@ pub fn check_in_session_at(
 }
 
 /// The match pairs `cfg` selects for this trace (the paper's precise DFS
-/// or the endpoint over-approximation).
+/// or the endpoint over-approximation). The precise DFS honours
+/// [`CheckConfig::deadline`]: past it, the over-approximate pairs stand in.
 pub fn make_pairs(program: &Program, trace: &Trace, cfg: &CheckConfig) -> MatchPairs {
     match cfg.matchgen {
-        MatchGen::Precise => precise_match_pairs(program, trace, cfg.delivery),
+        MatchGen::Precise => precise_match_pairs_until(program, trace, cfg.delivery, cfg.deadline),
         MatchGen::OverApprox => overapprox_match_pairs(program, trace),
     }
 }

@@ -8,8 +8,10 @@
 //!   execution** of the trace: explore every schedule/delivery choice of
 //!   the trace's communication skeleton (branch outcomes fixed, so control
 //!   flow is straight-line) and record, for each receive, every message it
-//!   consumed in some execution. Exact, but exponential — the paper calls
-//!   it "prohibitively expensive in computation time".
+//!   consumed in some execution. The paper calls it "prohibitively
+//!   expensive in computation time"; here it visits only the skeleton
+//!   state that can change what happens next, so executions that differ
+//!   only in history merge. Exact, but still exponential in the worst case.
 //! * [`overapprox_match_pairs`] — the paper's proposed future work: a cheap
 //!   over-approximation pairing each receive with **every** send addressed
 //!   to its endpoint. Sound (superset of the precise set) but may admit
@@ -21,6 +23,7 @@ use mcapi::state::SysState;
 use mcapi::trace::{EventKind, Trace};
 use mcapi::types::{DeliveryModel, EndpointAddr, MsgId, RecvKey, ReqId, VarId};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::time::Instant;
 
 /// The `MatchPairs` set and `getSends` map of the paper (Fig. 2), plus
 /// generation cost counters.
@@ -127,44 +130,72 @@ pub fn trace_skeleton(program: &Program, trace: &Trace) -> Program {
 }
 
 /// Precise match pairs by exhaustive depth-first abstract execution of the
-/// trace skeleton (the paper's Section 3 method). Exponential in the
-/// number of racing operations.
+/// trace skeleton (the paper's Section 3 method), on the skeleton state that
+/// can change what happens next (see `future_key`). Still exponential in the
+/// worst case: in the subsets of messages that can be in flight together.
 pub fn precise_match_pairs(program: &Program, trace: &Trace, model: DeliveryModel) -> MatchPairs {
+    precise_match_pairs_until(program, trace, model, None)
+}
+
+/// [`precise_match_pairs`] polling `deadline` every 1,024 visited states.
+/// Once it has passed, the trace's [`overapprox_match_pairs`] stand in
+/// (sound: the checker replays every model), with `states_explored`
+/// counting the states visited so far.
+pub(crate) fn precise_match_pairs_until(
+    program: &Program,
+    trace: &Trace,
+    model: DeliveryModel,
+    deadline: Option<Instant>,
+) -> MatchPairs {
     let skeleton = trace_skeleton(program, trace);
     let mut pairs = MatchPairs {
         generator: "precise-dfs",
         ..Default::default()
     };
-    let mut visited: HashSet<(SysState, Vec<u16>)> = HashSet::new();
-    let init = SysState::initial(&skeleton);
-    let counts = vec![0u16; skeleton.threads.len()];
-    dfs(&skeleton, model, init, counts, &mut visited, &mut pairs);
+    let mut visited = HashSet::new();
+    let mut stack = vec![(
+        SysState::initial(&skeleton),
+        vec![0u16; skeleton.threads.len()],
+    )];
+    while let Some((state, recv_counts)) = stack.pop() {
+        if !visited.insert(future_key(&state)) {
+            continue;
+        }
+        if pairs.states_explored.is_multiple_of(1024)
+            && deadline.is_some_and(|d| Instant::now() >= d)
+        {
+            return MatchPairs {
+                states_explored: pairs.states_explored,
+                ..overapprox_match_pairs(program, trace)
+            };
+        }
+        pairs.states_explored += 1;
+        for action in state.enabled_actions(&skeleton, model) {
+            let mut counts = recv_counts.clone();
+            if let Some(msg) = action.message() {
+                let t = action.thread();
+                let key = RecvKey::new(t, counts[t] as usize);
+                counts[t] += 1;
+                pairs.sends_for.entry(key).or_default().insert(msg);
+            }
+            stack.push((state.apply(&skeleton, action, model).0, counts));
+        }
+    }
     pairs
 }
 
-fn dfs(
-    skeleton: &Program,
-    model: DeliveryModel,
-    state: SysState,
-    recv_counts: Vec<u16>,
-    visited: &mut HashSet<(SysState, Vec<u16>)>,
-    pairs: &mut MatchPairs,
-) {
-    if !visited.insert((state.clone(), recv_counts.clone())) {
-        return;
-    }
-    pairs.states_explored += 1;
-    for action in state.enabled_actions(skeleton, model) {
-        let mut counts = recv_counts.clone();
-        if let Some(msg) = action.message() {
-            let t = action.thread();
-            let key = RecvKey::new(t, counts[t] as usize);
-            counts[t] += 1;
-            pairs.sends_for.entry(key).or_default().insert(msg);
-        }
-        let (next, _) = state.apply(skeleton, action, model);
-        dfs(skeleton, model, next, counts, visited, pairs);
-    }
+/// The part of a skeleton state that can change which actions are enabled
+/// later. A skeleton thread is straight-line code with constant payloads,
+/// so its pc fixes its requests, sends issued and receive count, and
+/// nothing reads its locals. A message's value is fixed by its id, and of
+/// the send sequence numbers only their order matters (zero-delay takes the
+/// oldest per destination). So the key is the pcs and the in-flight ids in
+/// send order, which is id order when every `send_seq` is 0.
+fn future_key(state: &SysState) -> (Vec<usize>, Vec<MsgId>) {
+    let mut flight = state.in_flight.clone();
+    flight.sort_by_key(|m| m.send_seq); // stable: keeps id order on ties
+    let pcs = state.threads.iter().map(|t| t.pc).collect();
+    (pcs, flight.iter().map(|m| m.id).collect())
 }
 
 /// Over-approximate match pairs: every send whose destination is the
