@@ -11,9 +11,10 @@
 //!    via [`mcapi::program::Thread::origins`] and renders them with the
 //!    caret machinery (`mcapi-smc lint`).
 //! 2. **Pruning facts** ([`StaticFacts`]): per-pc forced branch outcomes
-//!    and constant send payloads, consumed by the path engine's pruner
-//!    (`symbolic::paths::PathPruner`) to discharge infeasible plans
-//!    without solver queries and to tighten receive-value domains.
+//!    and constant send payloads, handed to the path engine's pruner
+//!    when it is built (`symbolic::paths::PathPruner::new`) to discharge
+//!    infeasible plans without solver queries and to tighten the
+//!    receive-value domains it encodes once per program.
 //! 3. **A triage verdict** ([`triage::StaticVerdict`]): scenarios the
 //!    analysis can decide soundly (see `crate::triage` for the argument)
 //!    are settled with zero engine work by the portfolio driver.

@@ -339,13 +339,26 @@ impl SmtSolver {
     /// pop, while learned clauses that do not depend on the scope survive.
     /// Used by the all-SAT and refinement drivers so per-query blocking
     /// clauses do not permanently pollute the clause database.
+    ///
+    /// A pop does *not* reclaim SAT variables or theory atoms created
+    /// inside the scope (see [`SmtSolver::pop_scope`]). A long-lived
+    /// solver that answers many similar queries should declare its
+    /// variables once and vary [`SmtSolver::check_assuming`] assumptions,
+    /// not declare fresh variables per scope: the latter grows the
+    /// problem, and the cost of every later check, with each query.
     pub fn push_scope(&mut self) {
         self.scope_asserted_len.push(self.asserted.len());
         self.tseitin.push_scope();
         self.sat.push_scope();
     }
 
-    /// Close the innermost scope opened by [`SmtSolver::push_scope`].
+    /// Close the innermost scope opened by [`SmtSolver::push_scope`]: the
+    /// scope's assertions and scoped clauses are retracted, but the SAT
+    /// variables and theory atoms created inside it stay, so
+    /// [`SmtSolver::num_sat_vars`] and [`SmtSolver::num_theory_atoms`]
+    /// never shrink. The encoder forgets the scope's term-to-literal
+    /// cache, so re-encoding the same term in a later scope allocates
+    /// fresh SAT variables again.
     pub fn pop_scope(&mut self) {
         let n = self
             .scope_asserted_len
