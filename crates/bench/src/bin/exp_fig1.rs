@@ -39,7 +39,6 @@ fn main() {
         EncodeOptions {
             delivery: DeliveryModel::Unordered,
             negate_props: false,
-            ..Default::default()
         },
     );
     println!("\n# F2/F3: generated SMT problem");

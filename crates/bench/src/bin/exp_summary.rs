@@ -1,5 +1,5 @@
-//! One-shot consolidated experiment table (F4 + E1..E5 at small scale) —
-//! the source of the paper-vs-measured records in EXPERIMENTS.md.
+//! One-shot consolidated experiment table (F4 + E1..E5 at small scale),
+//! printed as markdown tables on stdout.
 //!
 //! Run: `cargo run --release -p bench --bin exp_summary`
 

@@ -88,7 +88,8 @@ impl WorkerPool {
     /// given, each worker thread installs a `worker-<i>` lane for its
     /// lifetime, so spans opened anywhere inside the job closure land on
     /// that worker's timeline. With `None` this is exactly `run` —
-    /// tracing stays zero-cost.
+    /// tracing stays zero-cost. A batch with fewer jobs than workers
+    /// starts one thread per job, not idle ones.
     pub fn run_traced<J, O, F>(
         &self,
         jobs: Vec<J>,
@@ -106,7 +107,7 @@ impl WorkerPool {
         let results: Vec<Mutex<Option<O>>> = (0..n).map(|_| Mutex::new(None)).collect();
 
         std::thread::scope(|scope| {
-            for me in 0..self.workers {
+            for me in 0..self.workers.min(n) {
                 let queue = &queue;
                 let results = &results;
                 let f = &f;
@@ -182,6 +183,24 @@ mod tests {
             },
         );
         assert!(out.iter().all(|&seen| seen));
+    }
+
+    #[test]
+    fn no_thread_starts_without_a_job() {
+        let tracer = trace::Tracer::new();
+        let pool = WorkerPool::new(8);
+        let out = pool.run_traced(
+            vec![1u32, 2],
+            &CancelToken::new(),
+            Some(&tracer),
+            |_, j, _| j * 10,
+        );
+        assert_eq!(out, vec![10, 20]);
+        let lanes = tracer.lanes();
+        assert!(lanes.len() <= 2, "{} worker lanes for 2 jobs", lanes.len());
+        assert!(lanes.iter().all(|l| l.name.starts_with("worker-")));
+        // The configured width is still what the pool reports.
+        assert_eq!(pool.workers(), 8);
     }
 
     #[test]

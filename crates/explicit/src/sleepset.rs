@@ -44,7 +44,6 @@ pub struct SleepConfig {
     pub use_canonical: bool,
     /// Abort after this many executions.
     pub max_executions: usize,
-    pub track_matchings: bool,
     /// Record every complete execution's schedule word in
     /// [`ExploreResult::schedules`] (test instrumentation).
     pub track_schedules: bool,
@@ -57,7 +56,6 @@ impl Default for SleepConfig {
             use_sleep_sets: true,
             use_canonical: false,
             max_executions: 10_000_000,
-            track_matchings: true,
             track_schedules: false,
         }
     }
@@ -127,9 +125,7 @@ impl<'a> SleepSetExplorer<'a> {
                 result.push_violation(v.clone());
             } else if state.all_done(self.program) {
                 result.complete_terminals += 1;
-                if self.config.track_matchings {
-                    result.matchings.insert(matching);
-                }
+                result.matchings.insert(matching);
                 if self.config.track_schedules {
                     result.schedules.insert(word.clone());
                 }
@@ -176,10 +172,8 @@ impl<'a> SleepSetExplorer<'a> {
                 let t = action.thread();
                 let key = RecvKey::new(t, counts[t] as usize);
                 counts[t] += 1;
-                if self.config.track_matchings {
-                    let pos = m.partition_point(|(k, _)| *k < key);
-                    m.insert(pos, (key, msg));
-                }
+                let pos = m.partition_point(|(k, _)| *k < key);
+                m.insert(pos, (key, msg));
             }
             if let Some(s) = summary {
                 canon.push(action, s);

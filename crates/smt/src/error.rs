@@ -10,8 +10,6 @@ pub enum SmtError {
     NotDifferenceLogic(String),
     /// A term of the wrong sort was used where a Boolean was expected.
     SortMismatch(String),
-    /// DIMACS parse error (line, message).
-    Dimacs(usize, String),
 }
 
 impl fmt::Display for SmtError {
@@ -19,7 +17,6 @@ impl fmt::Display for SmtError {
         match self {
             SmtError::NotDifferenceLogic(m) => write!(f, "not difference logic: {m}"),
             SmtError::SortMismatch(m) => write!(f, "sort mismatch: {m}"),
-            SmtError::Dimacs(line, m) => write!(f, "dimacs parse error at line {line}: {m}"),
         }
     }
 }
@@ -34,7 +31,5 @@ mod tests {
     fn display_is_informative() {
         let e = SmtError::NotDifferenceLogic("x + y".into());
         assert!(e.to_string().contains("difference"));
-        let e = SmtError::Dimacs(3, "bad header".into());
-        assert!(e.to_string().contains("line 3"));
     }
 }

@@ -51,15 +51,12 @@
 pub mod atom;
 pub mod clause;
 pub mod cnf;
-pub mod dimacs;
 pub mod error;
 pub mod heap;
 pub mod idl;
-pub mod idl_naive;
 pub mod introspect;
 pub mod lit;
 pub mod model;
-pub mod naive;
 pub mod sat;
 pub mod solver;
 pub mod stats;

@@ -13,7 +13,7 @@
 //!   reused-trail partial backtracking so a restart does not throw away
 //!   decisions the heap would immediately redo,
 //! * incremental clause addition between `solve` calls,
-//! * assumption-based solving with unsat-core extraction,
+//! * assumption-based solving,
 //! * selector-guarded clause scopes (`push_scope`/`pop_scope`),
 //! * a [`Theory`] hook called for every literal assigned on the trail, so a
 //!   difference-logic solver (or any other theory) can veto assignments with
@@ -53,7 +53,7 @@ const VAR_DECAY_RAMP: u64 = 5000;
 pub enum SolveResult {
     Sat,
     Unsat,
-    /// Conflict budget exhausted before a verdict.
+    /// The wall-clock deadline passed before a verdict.
     Unknown,
 }
 
@@ -170,8 +170,6 @@ pub struct SatSolver<T: Theory = NoTheory> {
     trail_ema: f64,
     /// Conflicts since the last restart (or solve entry / blocked restart).
     conflicts_since_restart: u64,
-    /// Conflicts allowed before giving up (None = unlimited).
-    conflict_budget: Option<u64>,
     /// Wall-clock deadline for the current/next `solve` (None = unlimited).
     deadline: Option<Instant>,
     /// Active clause scopes, outermost first. Clauses added while a scope
@@ -190,8 +188,6 @@ pub struct SatSolver<T: Theory = NoTheory> {
     /// tagged with the decision level of the bypass so backtracking can
     /// re-enqueue exactly the ones whose justification may have gone.
     skipped: Vec<(u32, Var)>,
-    /// Failed-assumption set after an assumption-UNSAT answer.
-    conflict_core: Vec<Lit>,
     model: Vec<LBool>,
     /// The assumption levels still standing on the trail from the previous
     /// `solve` call: `prev_assumptions[i]` was established as the
@@ -237,14 +233,12 @@ impl<T: Theory> SatSolver<T> {
             fast_lbd_ema: 0.0,
             trail_ema: 0.0,
             conflicts_since_restart: 0,
-            conflict_budget: None,
             deadline: None,
             scopes: Vec::new(),
             seen: Vec::new(),
             marked: Vec::new(),
             occs: Vec::new(),
             skipped: Vec::new(),
-            conflict_core: Vec::new(),
             model: Vec::new(),
             prev_assumptions: Vec::new(),
         }
@@ -266,11 +260,6 @@ impl<T: Theory> SatSolver<T> {
     /// Sampled search-shape distributions (see [`crate::Introspect`]).
     pub fn introspect(&self) -> &crate::Introspect {
         &self.introspect
-    }
-
-    /// Limit the number of conflicts for subsequent `solve` calls.
-    pub fn set_conflict_budget(&mut self, budget: Option<u64>) {
-        self.conflict_budget = budget;
     }
 
     /// Wall-clock deadline for subsequent `solve` calls; a solve that is
@@ -380,12 +369,6 @@ impl<T: Theory> SatSolver<T> {
     /// Model value after a SAT answer (frozen at `solve` return).
     pub fn model_value(&self, v: Var) -> LBool {
         self.model.get(v.index()).copied().unwrap_or(LBool::Undef)
-    }
-
-    /// After an assumption-UNSAT answer: a subset of the assumptions that is
-    /// jointly inconsistent with the clauses.
-    pub fn unsat_core(&self) -> &[Lit] {
-        &self.conflict_core
     }
 
     fn decision_level(&self) -> usize {
@@ -824,68 +807,6 @@ impl<T: Theory> SatSolver<T> {
         true
     }
 
-    /// Collect the assumptions responsible for forcing assumption `a` false.
-    fn analyze_final(&mut self, a: Lit) {
-        self.conflict_core.clear();
-        self.conflict_core.push(a);
-        if self.decision_level() == 0 {
-            return;
-        }
-        self.mark(a.var());
-        for idx in (self.trail_lim[0]..self.trail.len()).rev() {
-            let l = self.trail[idx];
-            if !self.seen[l.var().index()] {
-                continue;
-            }
-            match self.vars[l.var().index()].reason {
-                Reason::Decision => {
-                    // All decisions are assumptions when this runs.
-                    if l != a {
-                        self.conflict_core.push(l);
-                    }
-                }
-                Reason::Clause(cref) => {
-                    let antecedents: Vec<Lit> = self.db.lits(cref)[1..].to_vec();
-                    for q in antecedents {
-                        if self.vars[q.var().index()].level > 0 {
-                            self.mark(q.var());
-                        }
-                    }
-                }
-            }
-        }
-        self.clear_marks();
-    }
-
-    /// Compute the failed-assumption set from a conflict that occurred while
-    /// only assumption decisions were on the trail.
-    fn core_from_conflict(&mut self, conflict: &[Lit]) {
-        self.conflict_core.clear();
-        for &l in conflict {
-            if self.vars[l.var().index()].level > 0 {
-                self.mark(l.var());
-            }
-        }
-        for idx in (self.trail_lim[0]..self.trail.len()).rev() {
-            let l = self.trail[idx];
-            if !self.seen[l.var().index()] {
-                continue;
-            }
-            match self.vars[l.var().index()].reason {
-                Reason::Decision => self.conflict_core.push(l),
-                Reason::Clause(cref) => {
-                    let antecedents: Vec<Lit> = self.db.lits(cref)[1..].to_vec();
-                    for q in antecedents {
-                        if self.vars[q.var().index()].level > 0 {
-                            self.mark(q.var());
-                        }
-                    }
-                }
-            }
-        }
-        self.clear_marks();
-    }
-
     /// Record a conflict in the restart EMAs. `lbd` is the freshly learned
     /// clause's glue; the trail size was sampled before backjumping.
     fn note_conflict_for_restarts(&mut self, lbd: u32, trail_len: usize) {
@@ -1015,7 +936,7 @@ impl<T: Theory> SatSolver<T> {
         result
     }
 
-    /// Budget/deadline exit: retreat to the established assumption prefix
+    /// Deadline exit: retreat to the established assumption prefix
     /// (search decisions go, assumption levels stay for the next solve).
     fn exit_unknown(&mut self, assumptions: &[Lit]) -> SolveResult {
         let keep = self.decision_level().min(assumptions.len());
@@ -1025,7 +946,6 @@ impl<T: Theory> SatSolver<T> {
     }
 
     fn solve_inner(&mut self, assumptions: &[Lit]) -> SolveResult {
-        self.conflict_core.clear();
         // Clauses added since the last solve may constrain variables that
         // were bypassed as don't-care on the still-standing trail, so every
         // bypass is re-opened for this solve.
@@ -1052,7 +972,6 @@ impl<T: Theory> SatSolver<T> {
         }
         self.cancel_until(keep);
 
-        let budget_start = self.stats.conflicts;
         self.conflicts_since_restart = 0;
 
         loop {
@@ -1070,7 +989,6 @@ impl<T: Theory> SatSolver<T> {
                         // Levels below the conflicting one reached fixpoint
                         // conflict-free and stay for the next solve.
                         let dl = self.decision_level();
-                        self.core_from_conflict(&conflict);
                         self.cancel_until(dl - 1);
                         self.prev_assumptions = assumptions[..dl - 1].to_vec();
                         return SolveResult::Unsat;
@@ -1085,11 +1003,6 @@ impl<T: Theory> SatSolver<T> {
                     self.decay_var_activity();
                     self.db.decay_activity();
 
-                    if let Some(b) = self.conflict_budget {
-                        if self.stats.conflicts - budget_start >= b {
-                            return self.exit_unknown(assumptions);
-                        }
-                    }
                     if self.deadline.is_some_and(|d| Instant::now() >= d) {
                         return self.exit_unknown(assumptions);
                     }
@@ -1122,7 +1035,6 @@ impl<T: Theory> SatSolver<T> {
                                 // The trail is consistent here — `a` is
                                 // merely falsified — so every established
                                 // level survives for the next solve.
-                                self.analyze_final(a);
                                 let dl = self.decision_level();
                                 self.prev_assumptions = assumptions[..dl].to_vec();
                                 return SolveResult::Unsat;
@@ -1368,7 +1280,7 @@ mod tests {
     }
 
     #[test]
-    fn assumptions_flip_verdict_and_give_core() {
+    fn assumptions_flip_verdict_and_leave_solver_usable() {
         let mut s = SatSolver::new_pure();
         let a = s.new_var();
         let b = s.new_var();
@@ -1376,11 +1288,6 @@ mod tests {
         s.add_clause(&[a.neg(), b.neg()]);
         assert_eq!(s.solve(), SolveResult::Sat);
         assert_eq!(s.solve_with_assumptions(&[a.pos()]), SolveResult::Unsat);
-        let core = s.unsat_core().to_vec();
-        assert!(
-            core.contains(&a.pos()),
-            "core {core:?} should mention the assumption"
-        );
         // Solver remains usable afterwards.
         assert_eq!(s.solve(), SolveResult::Sat);
         assert_eq!(s.model_value(a), LBool::False);
@@ -1422,16 +1329,6 @@ mod tests {
         assert!(s.add_clause(&[a.pos(), a.pos(), b.pos()]));
         assert!(s.add_clause(&[a.pos(), a.neg()])); // tautology: dropped
         assert_eq!(s.solve(), SolveResult::Sat);
-    }
-
-    #[test]
-    fn conflict_budget_reports_unknown() {
-        let mut s = SatSolver::new_pure();
-        pigeonhole(&mut s, 6, 5);
-        s.set_conflict_budget(Some(1));
-        assert_eq!(s.solve(), SolveResult::Unknown);
-        s.set_conflict_budget(None);
-        assert_eq!(s.solve(), SolveResult::Unsat);
     }
 
     #[test]
@@ -1779,7 +1676,7 @@ mod tests {
     }
 
     #[test]
-    fn scopes_compose_with_assumptions_and_cores() {
+    fn scopes_compose_with_assumptions() {
         let mut s = SatSolver::new_pure();
         let a = s.new_var();
         let b = s.new_var();
@@ -1787,10 +1684,6 @@ mod tests {
         s.add_clause(&[a.neg(), b.pos()]);
         s.add_clause(&[a.neg(), b.neg()]);
         assert_eq!(s.solve_with_assumptions(&[a.pos()]), SolveResult::Unsat);
-        assert!(
-            s.unsat_core().contains(&a.pos()),
-            "user assumption must appear in the core alongside scope selectors"
-        );
         s.pop_scope();
         assert_eq!(s.solve_with_assumptions(&[a.pos()]), SolveResult::Sat);
     }

@@ -20,7 +20,7 @@ use crate::term::{TermId, TermPool};
 pub enum SatResult {
     Sat,
     Unsat,
-    /// Budget exhausted, or the encoder rejected an assertion (see
+    /// The deadline passed, or the encoder rejected an assertion (see
     /// [`SmtSolver::encode_error`]).
     Unknown,
 }
@@ -45,9 +45,6 @@ pub struct SmtSolver {
     asserted: Vec<TermId>,
     encode_error: Option<SmtError>,
     model: Option<Model>,
-    /// SAT literals of the assumptions from the most recent check (aligned
-    /// with the caller's assumption slice), for core mapping.
-    assumption_lits: Vec<Lit>,
     /// Length of `asserted` at each open scope, for the pop-time rollback.
     scope_asserted_len: Vec<usize>,
 }
@@ -67,7 +64,6 @@ impl SmtSolver {
             asserted: Vec::new(),
             encode_error: None,
             model: None,
-            assumption_lits: Vec::new(),
             scope_asserted_len: Vec::new(),
         }
     }
@@ -221,7 +217,6 @@ impl SmtSolver {
                 }
             }
         }
-        self.assumption_lits = lits.clone();
         let mut span = trace::span("smt.solve");
         let before = *self.sat.stats();
         let result = match self.sat.solve_with_assumptions(&lits) {
@@ -242,20 +237,6 @@ impl SmtSolver {
                 .arg("sat", matches!(result, SatResult::Sat) as u64);
         }
         result
-    }
-
-    /// After an UNSAT answer from [`SmtSolver::check_assuming`]: the subset
-    /// of the assumption *terms* that is jointly inconsistent with the
-    /// asserted formula (empty when the permanent assertions alone are
-    /// UNSAT).
-    pub fn unsat_core_terms(&self, assumptions: &[TermId]) -> Vec<TermId> {
-        let core = self.sat.unsat_core();
-        assumptions
-            .iter()
-            .zip(&self.assumption_lits)
-            .filter(|(_, lit)| core.contains(lit))
-            .map(|(&t, _)| t)
-            .collect()
     }
 
     fn extract_model(&mut self) {
@@ -317,11 +298,6 @@ impl SmtSolver {
     /// Number of distinct theory atoms created by the encoder.
     pub fn num_theory_atoms(&self) -> usize {
         self.tseitin.num_atoms()
-    }
-
-    /// Limit conflicts for subsequent checks (None = unlimited).
-    pub fn set_conflict_budget(&mut self, budget: Option<u64>) {
-        self.sat.set_conflict_budget(budget);
     }
 
     /// Wall-clock deadline for subsequent checks: a check still searching
@@ -521,32 +497,6 @@ mod tests {
         let m = s.model().unwrap();
         assert!(m.ints[0] < 3);
         assert!(m.bools[0]);
-    }
-
-    #[test]
-    fn unsat_core_names_guilty_assumptions() {
-        let mut s = SmtSolver::new();
-        let x = s.int_var("x");
-        let y = s.int_var("y");
-        let zero = s.int_const(0);
-        // Permanent: x > 0.
-        let base = s.gt(x, zero);
-        s.assert_term(base);
-        // Assumptions: (y > 5) [innocent], (x < 0) [conflicts with base].
-        let five = s.int_const(5);
-        let innocent = s.gt(y, five);
-        let guilty = s.lt(x, zero);
-        let assumptions = [innocent, guilty];
-        assert_eq!(s.check_assuming(&assumptions), SatResult::Unsat);
-        let core = s.unsat_core_terms(&assumptions);
-        assert!(
-            core.contains(&guilty),
-            "core must name the conflicting assumption"
-        );
-        assert!(
-            !core.contains(&innocent),
-            "core must not include the innocent one"
-        );
     }
 
     #[test]

@@ -1,9 +1,19 @@
 //! Minimal DIMACS CNF reader/writer, used for differential testing of the
 //! SAT core against generated instances.
 
-use crate::error::SmtError;
-use crate::lit::{Lit, Var};
-use crate::sat::{SatSolver, SolveResult};
+use smt::sat::{SatSolver, SolveResult};
+use smt::{LBool, Lit, Var};
+use std::fmt;
+
+/// A DIMACS parse error: the 1-based line and what is wrong with it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct DimacsError(pub usize, pub String);
+
+impl fmt::Display for DimacsError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "dimacs parse error at line {}: {}", self.0, self.1)
+    }
+}
 
 /// A parsed CNF instance.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -15,7 +25,7 @@ pub struct Cnf {
 impl Cnf {
     /// Parse DIMACS text. Tolerates comments and blank lines; clauses may
     /// span lines and must be `0`-terminated.
-    pub fn parse(text: &str) -> Result<Cnf, SmtError> {
+    pub fn parse(text: &str) -> Result<Cnf, DimacsError> {
         let mut num_vars = None;
         let mut clauses = Vec::new();
         let mut current: Vec<i32> = Vec::new();
@@ -27,23 +37,23 @@ impl Cnf {
             if let Some(rest) = line.strip_prefix('p') {
                 let mut parts = rest.split_whitespace();
                 if parts.next() != Some("cnf") {
-                    return Err(SmtError::Dimacs(lineno + 1, "expected 'p cnf'".into()));
+                    return Err(DimacsError(lineno + 1, "expected 'p cnf'".into()));
                 }
                 let nv: usize = parts
                     .next()
                     .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| SmtError::Dimacs(lineno + 1, "bad var count".into()))?;
+                    .ok_or_else(|| DimacsError(lineno + 1, "bad var count".into()))?;
                 let _nc: usize = parts
                     .next()
                     .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| SmtError::Dimacs(lineno + 1, "bad clause count".into()))?;
+                    .ok_or_else(|| DimacsError(lineno + 1, "bad clause count".into()))?;
                 num_vars = Some(nv);
                 continue;
             }
             for tok in line.split_whitespace() {
                 let v: i32 = tok
                     .parse()
-                    .map_err(|_| SmtError::Dimacs(lineno + 1, format!("bad literal {tok}")))?;
+                    .map_err(|_| DimacsError(lineno + 1, format!("bad literal {tok}")))?;
                 if v == 0 {
                     clauses.push(std::mem::take(&mut current));
                 } else {
@@ -104,7 +114,7 @@ impl Cnf {
                     .map(|(i, &v)| {
                         let idx = (i + 1) as i32;
                         match s.model_value(v) {
-                            crate::lit::LBool::False => -idx,
+                            LBool::False => -idx,
                             _ => idx,
                         }
                     })
@@ -113,68 +123,5 @@ impl Cnf {
             }
             other => (other, None),
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parse_simple_instance() {
-        let text = "c a comment\np cnf 3 2\n1 -2 0\n2 3 0\n";
-        let cnf = Cnf::parse(text).unwrap();
-        assert_eq!(cnf.num_vars, 3);
-        assert_eq!(cnf.clauses, vec![vec![1, -2], vec![2, 3]]);
-    }
-
-    #[test]
-    fn parse_multiline_clause() {
-        let text = "p cnf 2 1\n1\n-2\n0\n";
-        let cnf = Cnf::parse(text).unwrap();
-        assert_eq!(cnf.clauses, vec![vec![1, -2]]);
-    }
-
-    #[test]
-    fn parse_without_header_infers_vars() {
-        let cnf = Cnf::parse("1 2 0\n-3 0\n").unwrap();
-        assert_eq!(cnf.num_vars, 3);
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!(Cnf::parse("p cnf x y\n").is_err());
-        assert!(Cnf::parse("1 zz 0\n").is_err());
-    }
-
-    #[test]
-    fn roundtrip() {
-        let cnf = Cnf {
-            num_vars: 3,
-            clauses: vec![vec![1, -2], vec![2, 3]],
-        };
-        let text = cnf.to_dimacs();
-        let back = Cnf::parse(&text).unwrap();
-        assert_eq!(back, cnf);
-    }
-
-    #[test]
-    fn solve_sat_instance_model_satisfies() {
-        let cnf = Cnf::parse("p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n").unwrap();
-        let (res, model) = cnf.solve();
-        assert_eq!(res, SolveResult::Sat);
-        let model = model.unwrap();
-        for c in &cnf.clauses {
-            assert!(
-                c.iter().any(|&l| model.contains(&l)),
-                "clause {c:?} unsatisfied"
-            );
-        }
-    }
-
-    #[test]
-    fn solve_unsat_instance() {
-        let cnf = Cnf::parse("p cnf 1 2\n1 0\n-1 0\n").unwrap();
-        assert_eq!(cnf.solve().0, SolveResult::Unsat);
     }
 }

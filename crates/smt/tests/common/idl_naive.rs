@@ -1,12 +1,10 @@
 //! Baseline difference-logic theory: full Bellman–Ford re-check on every
-//! assertion. Used (a) as a differential oracle for the incremental
-//! solver in [`crate::idl`], and (b) as the ablation datapoint for the
-//! "incremental potential maintenance vs eager re-check" design choice
-//! (see `DESIGN.md` §6.1 and the `smt_microbench` bench group).
+//! assertion. It is the differential oracle for the incremental solver in
+//! `smt::idl`, which maintains a potential function instead of re-checking
+//! (the `idl_naive` tests in `tests/oracles.rs` compare the two).
 
-use crate::atom::{DiffAtom, IntVarId};
-use crate::lit::{Lit, Var};
-use crate::sat::{Theory, TheoryResult};
+use smt::sat::{Theory, TheoryResult};
+use smt::{DiffAtom, IntVarId, Lit, Var};
 
 #[derive(Clone, Copy, Debug)]
 struct Edge {
@@ -136,103 +134,6 @@ impl Theory for NaiveIdl {
         while self.marks.len() > levels_remaining {
             let m = self.marks.pop().expect("mark underflow");
             self.edges.truncate(m);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn lit(n: u32) -> Lit {
-        Var(n).pos()
-    }
-
-    #[test]
-    fn detects_two_edge_cycle() {
-        let mut t = NaiveIdl::new();
-        t.register_atom(Var(0), DiffAtom { x: 1, y: 2, c: -1 });
-        t.register_atom(Var(1), DiffAtom { x: 2, y: 1, c: -1 });
-        assert!(t.assert_true(lit(0)).is_ok());
-        let e = t.assert_true(lit(1)).unwrap_err();
-        assert_eq!(e.len(), 2);
-    }
-
-    #[test]
-    fn consistent_chain_has_model() {
-        let mut t = NaiveIdl::new();
-        t.register_atom(Var(0), DiffAtom { x: 1, y: 2, c: -1 });
-        t.register_atom(Var(1), DiffAtom { x: 2, y: 3, c: -1 });
-        assert!(t.assert_true(lit(0)).is_ok());
-        assert!(t.assert_true(lit(1)).is_ok());
-        assert!(t.value_of(1) - t.value_of(2) <= -1);
-        assert!(t.value_of(2) - t.value_of(3) <= -1);
-    }
-
-    #[test]
-    fn backtracking_truncates_edges() {
-        let mut t = NaiveIdl::new();
-        t.register_atom(Var(0), DiffAtom { x: 1, y: 2, c: 0 });
-        assert!(t.assert_true(lit(0)).is_ok());
-        t.new_level();
-        t.register_atom(Var(1), DiffAtom { x: 2, y: 1, c: -5 });
-        assert!(t.assert_true(lit(1)).is_err());
-        t.backtrack_to(0);
-        assert_eq!(t.num_edges(), 1);
-    }
-
-    /// Differential: NaiveIdl and the incremental Idl agree on random
-    /// assertion/backtrack sequences.
-    #[test]
-    fn differential_against_incremental() {
-        use crate::idl::Idl;
-        let mut seed = 0x12345678u64;
-        let mut next = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        for round in 0..100 {
-            let n_atoms = 2 + (next() % 10) as usize;
-            let n_vars = 2 + (next() % 4) as u32;
-            let mut inc = Idl::new();
-            let mut naive = NaiveIdl::new();
-            let mut atoms = Vec::new();
-            for i in 0..n_atoms {
-                let x = 1 + (next() % n_vars as u64) as u32;
-                let mut y = 1 + (next() % n_vars as u64) as u32;
-                if x == y {
-                    y = y % n_vars + 1;
-                }
-                let c = (next() % 9) as i64 - 4;
-                let atom = DiffAtom { x, y, c };
-                inc.register_atom(Var(i as u32), atom);
-                naive.register_atom(Var(i as u32), atom);
-                atoms.push(atom);
-            }
-            let mut dead = false;
-            for i in 0..n_atoms {
-                let positive = next() % 2 == 0;
-                let l = Var(i as u32).lit(positive);
-                let a = inc.assert_true(l);
-                let b = naive.assert_true(l);
-                assert_eq!(
-                    a.is_ok(),
-                    b.is_ok(),
-                    "round {round} atom {i}: incremental {a:?} vs naive {b:?}"
-                );
-                if a.is_err() {
-                    dead = true;
-                    break;
-                }
-            }
-            if !dead {
-                // Both produced potentials; each must satisfy its edges.
-                for i in 0..n_atoms {
-                    let _ = i;
-                }
-            }
         }
     }
 }

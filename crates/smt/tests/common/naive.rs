@@ -2,8 +2,7 @@
 //!
 //! Exponential in every dimension — only ever call these on tiny inputs.
 
-use crate::model::Model;
-use crate::term::{TermId, TermPool};
+use smt::{Model, TermId, TermPool};
 
 /// Decide a conjunction of Boolean terms by enumerating all integer-variable
 /// assignments in `[-bound, bound]` and all Boolean assignments. Returns a
@@ -74,55 +73,4 @@ pub fn difference_feasible(n: usize, constraints: &[(u32, u32, i64)]) -> bool {
         }
     }
     (0..n).all(|i| d[i][i] >= 0)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn brute_force_finds_simple_model() {
-        let mut p = TermPool::new();
-        let x = p.int_var("x");
-        let y = p.int_var("y");
-        let lt = p.lt(x, y);
-        let m = brute_force_check(&p, &[lt], 2).expect("satisfiable");
-        assert!(m.ints[0] < m.ints[1]);
-    }
-
-    #[test]
-    fn brute_force_detects_unsat() {
-        let mut p = TermPool::new();
-        let x = p.int_var("x");
-        let y = p.int_var("y");
-        let lt = p.lt(x, y);
-        let gt = p.gt(x, y);
-        assert!(brute_force_check(&p, &[lt, gt], 3).is_none());
-    }
-
-    #[test]
-    fn brute_force_with_bools() {
-        let mut p = TermPool::new();
-        let b = p.bool_var("b");
-        let nb = p.not(b);
-        assert!(brute_force_check(&p, &[b], 0).is_some());
-        assert!(brute_force_check(&p, &[b, nb], 0).is_none());
-    }
-
-    #[test]
-    fn fw_feasible_chain() {
-        // x0 < x1 < x2: x0 - x1 <= -1, x1 - x2 <= -1.
-        assert!(difference_feasible(3, &[(0, 1, -1), (1, 2, -1)]));
-    }
-
-    #[test]
-    fn fw_negative_cycle() {
-        // x0 < x1 and x1 < x0.
-        assert!(!difference_feasible(2, &[(0, 1, -1), (1, 0, -1)]));
-    }
-
-    #[test]
-    fn fw_zero_cycle_ok() {
-        assert!(difference_feasible(2, &[(0, 1, 0), (1, 0, 0)]));
-    }
 }

@@ -12,7 +12,9 @@
 //! SAT answer carries a clause-validating model and that the `Stats`
 //! counters a solve leaves behind are internally consistent.
 
-use smt::dimacs::Cnf;
+mod common;
+
+use common::dimacs::Cnf;
 use smt::sat::{SatSolver, SolveResult};
 use smt::{LBool, Lit, Stats, Var};
 

@@ -1,8 +1,10 @@
 //! Property tests of the pure SAT core: random CNFs checked against
 //! brute-force enumeration, DIMACS round-trips, and model validity.
 
+mod common;
+
+use common::dimacs::Cnf;
 use proptest::prelude::*;
-use smt::dimacs::Cnf;
 use smt::sat::SolveResult;
 
 /// Random CNF over `nv` variables: literals are nonzero ints in ±nv.

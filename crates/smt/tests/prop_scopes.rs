@@ -12,8 +12,10 @@
 //! 3. learned clauses survive pops (selector guarding makes them
 //!    scope-safe), so the learnt-clause count never shrinks across a pop.
 
+mod common;
+
+use common::naive::brute_force_check;
 use proptest::prelude::*;
-use smt::naive::brute_force_check;
 use smt::{SatResult, SmtSolver, TermId, TermPool};
 
 /// One step of a random incremental-session script.

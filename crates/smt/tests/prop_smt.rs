@@ -1,8 +1,10 @@
 //! Property-based differential tests: the DPLL(T) solver against
 //! brute-force enumeration and the Floyd–Warshall feasibility oracle.
 
+mod common;
+
+use common::naive::{brute_force_check, difference_feasible};
 use proptest::prelude::*;
-use smt::naive::{brute_force_check, difference_feasible};
 use smt::{SatResult, SmtSolver, TermId};
 
 /// A small random formula AST we can build into any solver.

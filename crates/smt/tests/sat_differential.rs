@@ -9,10 +9,12 @@
 //! unit-heavy instances that stress propagation, and scoped/assumption
 //! interleavings that stress the incremental machinery.
 
+mod common;
+
+use common::dimacs::Cnf;
+use common::naive::brute_force_check;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use smt::dimacs::Cnf;
-use smt::naive::brute_force_check;
 use smt::sat::{SatSolver, SolveResult};
 use smt::{LBool, Lit, TermPool, Var};
 

@@ -2,7 +2,7 @@
 //! solving, witness validation, and the over-approximation refinement loop
 //! (the paper's future-work item, closed here).
 
-use crate::encode::{EncodeStats, UniqueScope};
+use crate::encode::EncodeStats;
 use crate::matchpairs::{overapprox_match_pairs, precise_match_pairs_until, MatchPairs};
 use crate::session::{CheckSession, SessionPool};
 use crate::witness::{decode_witness, replay_witness, ReplayVerdict, Witness};
@@ -31,10 +31,6 @@ pub struct CheckConfig {
     pub matchgen: MatchGen,
     /// Maximum spurious witnesses to block before giving up.
     pub max_refinements: usize,
-    /// Base seed for trace generation.
-    pub trace_seed: u64,
-    /// Seeds tried to obtain a complete passing trace.
-    pub trace_attempts: u64,
     /// Wall-clock budget for match-pair generation and the solve/refine
     /// loop, in milliseconds. `None` means unbounded. When the budget runs
     /// out the verdict degrades to [`Verdict::Unknown`] rather than a wrong
@@ -57,8 +53,6 @@ impl Default for CheckConfig {
             delivery: DeliveryModel::Unordered,
             matchgen: MatchGen::Precise,
             max_refinements: 1000,
-            trace_seed: 0,
-            trace_attempts: 500,
             budget_ms: None,
             deadline: None,
         }
@@ -294,9 +288,11 @@ pub fn record_check_counters(
 /// Falls back to a violating or incomplete trace if no clean one exists
 /// within the attempt budget (callers see that through the returned trace).
 pub fn generate_trace(program: &Program, cfg: &CheckConfig) -> Trace {
+    /// Seeds `0..ATTEMPTS` are tried, in order, for a clean trace.
+    const ATTEMPTS: u64 = 500;
     let mut fallback: Option<Trace> = None;
-    for s in 0..cfg.trace_attempts {
-        let out = execute_random(program, cfg.delivery, cfg.trace_seed.wrapping_add(s));
+    for seed in 0..ATTEMPTS {
+        let out = execute_random(program, cfg.delivery, seed);
         if out.trace.is_complete() && out.trace.violation.is_none() {
             return out.trace;
         }
@@ -763,7 +759,7 @@ pub fn enumerate_matchings(
     limit: usize,
 ) -> MatchingEnumeration {
     let pairs = make_pairs(program, trace, cfg);
-    let mut session = CheckSession::new(program, trace, &pairs, UniqueScope::default());
+    let mut session = CheckSession::new(program, trace, &pairs);
     // All-SAT on the positive-property group: every model is blocked (in a
     // query scope) until the formula runs dry or the limit is reached.
     let assumptions = session.assumptions_for(0, cfg.delivery, false);

@@ -40,22 +40,6 @@ pub struct EncodeOptions {
     /// query). `false`: assert `PProp` (models are valid passing
     /// executions — used for behaviour enumeration).
     pub negate_props: bool,
-    /// Scope of the Fig. 3 uniqueness assertions. The paper conjoins
-    /// `isDiffSend` over **all** receive pairs; receives on different
-    /// endpoints can never share a send, so restricting to same-endpoint
-    /// pairs is an equisatisfiable optimisation — kept as an ablation
-    /// knob (`DESIGN.md` §6), default faithful to the paper.
-    pub unique_scope: UniqueScope,
-}
-
-/// See [`EncodeOptions::unique_scope`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum UniqueScope {
-    /// Fig. 3 verbatim: every pair of receives.
-    #[default]
-    AllPairs,
-    /// Only receives on the same endpoint (equisatisfiable, O(R²/E)).
-    SameEndpoint,
 }
 
 impl Default for EncodeOptions {
@@ -63,7 +47,6 @@ impl Default for EncodeOptions {
         EncodeOptions {
             delivery: DeliveryModel::Unordered,
             negate_props: true,
-            unique_scope: UniqueScope::default(),
         }
     }
 }
@@ -446,7 +429,7 @@ pub fn encode(
     pairs: &MatchPairs,
     opts: EncodeOptions,
 ) -> Encoding {
-    let mut enc = encode_core(program, trace, pairs, opts.unique_scope);
+    let mut enc = encode_core(program, trace, pairs);
     let pins = enc.paths[0].pins.clone();
     enc.assert_terms(pins);
     let axioms = enc.delivery_axioms(opts.delivery);
@@ -462,12 +445,7 @@ pub fn encode(
 /// branch pins and assertion properties collected as path 0 but not yet
 /// asserted. Every delivery model, both property polarities and every
 /// attached path share this core.
-pub fn encode_core(
-    program: &Program,
-    trace: &Trace,
-    pairs: &MatchPairs,
-    unique_scope: UniqueScope,
-) -> Encoding {
+pub fn encode_core(program: &Program, trace: &Trace, pairs: &MatchPairs) -> Encoding {
     let mut solver = SmtSolver::new();
     let mut stats = EncodeStats::default();
     let n = program.threads.len();
@@ -624,12 +602,9 @@ pub fn encode_core(
         solver.assert_term(any); // empty set folds to `false`: recv unmatched
     }
 
-    // ---- PUnique: Fig. 3 of the paper ----
+    // ---- PUnique: Fig. 3 of the paper, over every pair of receives ----
     for i in 0..recvs.len() {
         for j in (i + 1)..recvs.len() {
-            if unique_scope == UniqueScope::SameEndpoint && recvs[i].endpoint != recvs[j].endpoint {
-                continue; // cross-endpoint receives can never share a send
-            }
             let d = solver.ne(recvs[i].id_term, recvs[j].id_term);
             solver.assert_term(d);
             stats.unique_pairs += 1;
@@ -778,7 +753,6 @@ mod tests {
             EncodeOptions {
                 delivery: DeliveryModel::Unordered,
                 negate_props: false,
-                ..Default::default()
             },
         );
         let ids = enc.id_terms();
@@ -801,7 +775,6 @@ mod tests {
                 EncodeOptions {
                     delivery: DeliveryModel::Unordered,
                     negate_props: false,
-                    ..Default::default()
                 },
             );
             let ids = enc.id_terms();
@@ -824,7 +797,6 @@ mod tests {
             EncodeOptions {
                 delivery: DeliveryModel::ZeroDelay,
                 negate_props: false,
-                ..Default::default()
             },
         );
         let ids = enc.id_terms();
@@ -929,7 +901,6 @@ mod tests {
             EncodeOptions {
                 delivery: DeliveryModel::Unordered,
                 negate_props: true,
-                ..Default::default()
             },
         );
         assert_eq!(un.solver.check(), SatResult::Sat);
@@ -941,43 +912,9 @@ mod tests {
             EncodeOptions {
                 delivery: DeliveryModel::PairwiseFifo,
                 negate_props: true,
-                ..Default::default()
             },
         );
         assert_eq!(pf.solver.check(), SatResult::Unsat);
-    }
-
-    #[test]
-    fn unique_scope_ablation_is_equisatisfiable() {
-        // Same-endpoint uniqueness drops cross-endpoint pairs but cannot
-        // change the model set (cross-endpoint receives never share a
-        // candidate send).
-        let p = fig1();
-        let tr = complete_trace(&p);
-        let pairs = precise_match_pairs(&p, &tr, DeliveryModel::Unordered);
-        let run = |scope| {
-            let mut enc = encode(
-                &p,
-                &tr,
-                &pairs,
-                EncodeOptions {
-                    delivery: DeliveryModel::Unordered,
-                    negate_props: false,
-                    unique_scope: scope,
-                },
-            );
-            let ids = enc.id_terms();
-            let mut models = enc.solver.enumerate_models(&ids, 100);
-            models.sort();
-            (models, enc.stats.unique_pairs)
-        };
-        let (all_models, all_pairs) = run(UniqueScope::AllPairs);
-        let (ep_models, ep_pairs) = run(UniqueScope::SameEndpoint);
-        assert_eq!(all_models, ep_models);
-        assert!(ep_pairs < all_pairs, "{ep_pairs} vs {all_pairs}");
-        // fig1: recv A,B share t0's endpoint (1 pair); recv C is alone.
-        assert_eq!(ep_pairs, 1);
-        assert_eq!(all_pairs, 3);
     }
 
     #[test]
@@ -992,7 +929,6 @@ mod tests {
             EncodeOptions {
                 delivery: DeliveryModel::Unordered,
                 negate_props: false,
-                ..Default::default()
             },
         );
         assert_eq!(enc.stats.match_disjuncts, 5); // X,Y for A and B; Z for C
@@ -1035,7 +971,6 @@ mod tests {
             EncodeOptions {
                 delivery: DeliveryModel::Unordered,
                 negate_props: false,
-                ..Default::default()
             },
         );
         let ids = enc.id_terms();

@@ -61,8 +61,6 @@ pub struct PathsConfig {
     /// larger, the verdict degrades to [`Verdict::Unknown`] (never a
     /// silent `Safe`) unless a violation was found first.
     pub max_paths: usize,
-    /// Visited-state cap for each directed schedule search.
-    pub search_max_states: usize,
     /// Transition (work) cap for each directed schedule search;
     /// `u64::MAX` = unbounded. See [`DirectedConfig::max_transitions`].
     pub search_max_transitions: u64,
@@ -85,7 +83,6 @@ impl Default for PathsConfig {
         PathsConfig {
             check: CheckConfig::default(),
             max_paths: 256,
-            search_max_states: 200_000,
             search_max_transitions: u64::MAX,
             canonical: true,
             static_facts: true,
@@ -449,11 +446,12 @@ impl<'a> PathEnumerator<'a> {
                 .map(|(&k, per_thread)| per_thread[k].clone())
                 .collect(),
         };
+        // The visited-state cap is the directed search's default.
         let dcfg = DirectedConfig {
-            max_states: self.cfg.search_max_states,
             max_transitions: self.cfg.search_max_transitions,
             deadline: self.deadline,
             canonical: self.cfg.canonical,
+            ..DirectedConfig::default()
         };
         let search_start = Instant::now();
         let (directed, search_stats) = {

@@ -38,7 +38,7 @@
 //! reuse policy lives in the pool: [`SessionPool::one_shot`] builds every
 //! session from scratch, the no-reuse baseline.
 
-use crate::encode::{encode_core, Encoding, PathAttachError, UniqueScope};
+use crate::encode::{encode_core, Encoding, PathAttachError};
 use crate::matchpairs::MatchPairs;
 use mcapi::program::Program;
 use mcapi::trace::{CommSig, Event, Trace};
@@ -74,15 +74,10 @@ impl CheckSession {
     /// trace as path 0. Axiom groups are attached lazily by the first query
     /// that needs them; path 0's branch pins are asserted immediately,
     /// guarded by its path selector.
-    pub fn new(
-        program: &Program,
-        trace: &Trace,
-        pairs: &MatchPairs,
-        unique_scope: UniqueScope,
-    ) -> CheckSession {
+    pub fn new(program: &Program, trace: &Trace, pairs: &MatchPairs) -> CheckSession {
         let built = std::time::Instant::now();
         let mut span = trace::span("symbolic.encode_core");
-        let mut enc = encode_core(program, trace, pairs, unique_scope);
+        let mut enc = encode_core(program, trace, pairs);
         span.arg("sat_vars", enc.solver.num_sat_vars() as u64)
             .arg("sat_clauses", enc.solver.num_sat_clauses() as u64);
         drop(span);
@@ -331,7 +326,7 @@ impl SessionPool {
 
     fn build_entry(&mut self, program: &Program, trace: &Trace, pairs: &MatchPairs) -> usize {
         self.encodings_built += 1;
-        let session = CheckSession::new(program, trace, pairs, UniqueScope::default());
+        let session = CheckSession::new(program, trace, pairs);
         self.entries.push(PoolEntry {
             program: program.clone(),
             pairs: pairs.clone(),
@@ -388,7 +383,7 @@ mod tests {
         let cfg = CheckConfig::default();
         let trace = generate_trace(&p, &cfg);
         let pairs = overapprox_match_pairs(&p, &trace);
-        let mut session = CheckSession::new(&p, &trace, &pairs, UniqueScope::default());
+        let mut session = CheckSession::new(&p, &trace, &pairs);
         // fig1 has no assertions: the violation query is UNSAT under every
         // delivery model, from one shared encoding.
         for delivery in mcapi::types::DeliveryModel::ALL {
@@ -412,7 +407,7 @@ mod tests {
         let cfg = CheckConfig::default();
         let trace = generate_trace(&p, &cfg);
         let pairs = precise_match_pairs(&p, &trace, DeliveryModel::Unordered);
-        let mut session = CheckSession::new(&p, &trace, &pairs, UniqueScope::default());
+        let mut session = CheckSession::new(&p, &trace, &pairs);
         let violation = session.assumptions_for(0, DeliveryModel::Unordered, true);
         assert_eq!(
             session.enc.solver.check_assuming(&violation),

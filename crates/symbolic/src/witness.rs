@@ -305,7 +305,6 @@ mod tests {
             EncodeOptions {
                 delivery: DeliveryModel::Unordered,
                 negate_props: false,
-                ..Default::default()
             },
         );
         assert_eq!(enc.solver.check(), SatResult::Sat);
@@ -334,7 +333,6 @@ mod tests {
             EncodeOptions {
                 delivery: DeliveryModel::Unordered,
                 negate_props: false,
-                ..Default::default()
             },
         );
         assert_eq!(enc.solver.check(), SatResult::Sat);
@@ -388,7 +386,6 @@ mod tests {
             EncodeOptions {
                 delivery: DeliveryModel::Unordered,
                 negate_props: false,
-                ..Default::default()
             },
         );
         assert_eq!(enc.solver.check(), SatResult::Sat);

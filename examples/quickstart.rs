@@ -48,7 +48,6 @@ fn main() {
         EncodeOptions {
             delivery: DeliveryModel::Unordered,
             negate_props: false,
-            ..Default::default()
         },
     );
     println!("== SMT problem ==");

@@ -40,8 +40,8 @@
 //! (precedence: flag > the file's `// unroll:` header > default 64 —
 //! each level replaces the bound, in either direction).
 //!
-//! Portfolio options: `--threads N` (default: all cores), `--scale K`
-//! (grid size per family, default 2), `--families a,b,c` (default: all),
+//! Portfolio options: `--threads N` (≥ 1, default: all cores), `--scale K`
+//! (grid size per family, ≥ 1, default 2), `--families a,b,c` (default: all),
 //! `--corpus DIR` (also cross every `.mcapi` file in DIR), `--delivery
 //! MODEL` (default: all three), `--budget-ms MS` (per-scenario solver
 //! budget), `--max-paths N` (per-scenario path budget for the
@@ -384,6 +384,16 @@ fn parse_flag_strict(args: &[String], flag: &str) -> Result<Option<u64>, String>
         .transpose()
 }
 
+/// A count flag of `args[0]`'s command that must be at least 1: `0` is a
+/// usage error, not a silent clamp to 1 that would run another command
+/// than the one typed.
+fn count_flag(args: &[String], flag: &str) -> Result<Option<usize>, String> {
+    match parse_flag_strict(args, flag)? {
+        Some(0) => Err(format!("{flag} must be at least 1\n{}", usage(&args[0]))),
+        n => Ok(n.map(|n| n as usize)),
+    }
+}
+
 /// The exit code for a portfolio's verdicts: 1 on any violation, else 3
 /// on any unknown, else 0.
 fn exit_code(violation: bool, unknown: bool) -> ExitCode {
@@ -399,9 +409,9 @@ fn exit_code(violation: bool, unknown: bool) -> ExitCode {
 /// Build and run a scenario grid; see the module docs for the flags.
 fn portfolio(args: &[String], mode: Mode) -> Result<ExitCode, String> {
     let has = |flag: &str| args.iter().any(|a| a == flag);
-    let scale = parse_flag_strict(args, "--scale")?.unwrap_or(2) as usize;
-    let threads = match parse_flag_strict(args, "--threads")? {
-        Some(n) => n as usize,
+    let scale = count_flag(args, "--scale")?.unwrap_or(2);
+    let threads = match count_flag(args, "--threads")? {
+        Some(n) => n,
         None => std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
@@ -663,7 +673,7 @@ fn fmt(args: &[String]) -> Result<ExitCode, String> {
 fn export(args: &[String]) -> Result<ExitCode, String> {
     let target = positional(args)
         .ok_or_else(|| format!("{}\nfamilies: {}", usage("export"), FAMILIES.join(" ")))?;
-    let scale = parse_flag_strict(args, "--scale")?.unwrap_or(2) as usize;
+    let scale = count_flag(args, "--scale")?.unwrap_or(2);
     // A family tag exports the whole grid; otherwise fall back to a
     // single named point (`ring` is a family, `ring4x2` — and the legacy
     // alias spellings — a point).

@@ -570,6 +570,43 @@ fn portfolio_flag_typos_are_usage_errors_not_silent_fallbacks() {
 }
 
 #[test]
+fn zero_threads_and_zero_scale_are_usage_errors() {
+    // `0` is rejected, not quietly run as 1 thread or scale 1.
+    for args in [
+        &[
+            "portfolio",
+            "--threads",
+            "0",
+            "--families",
+            "fig1",
+            "--scale",
+            "1",
+        ][..],
+        &[
+            "sweep",
+            "--threads",
+            "0",
+            "--families",
+            "fig1",
+            "--scale",
+            "1",
+        ],
+        &["portfolio", "--scale", "0", "--families", "fig1"],
+        &["sweep", "--scale", "0", "--families", "fig1"],
+        &["export", "fig1", "--scale", "0"],
+    ] {
+        let out = bin().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("usage: mcapi-smc {}", args[0])),
+            "{args:?}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
+}
+
+#[test]
 fn duplicate_families_are_deduplicated() {
     let once = bin()
         .args(["sweep", "--scale", "1", "--families", "fig1", "--json", "-"])

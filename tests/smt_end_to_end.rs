@@ -26,7 +26,6 @@ fn encoder_formula_sizes_scale_linearly_in_events() {
             EncodeOptions {
                 delivery: DeliveryModel::Unordered,
                 negate_props: false,
-                ..Default::default()
             },
         );
         assert_eq!(enc.stats.match_disjuncts, n * n);
@@ -54,7 +53,6 @@ fn precise_and_overapprox_encodings_equisatisfiable_here() {
             EncodeOptions {
                 delivery: DeliveryModel::Unordered,
                 negate_props: false,
-                ..Default::default()
             },
         );
         let ids = enc.id_terms();
@@ -107,7 +105,6 @@ fn scatter_nonblocking_formula_is_satisfiable_for_enumeration() {
         EncodeOptions {
             delivery: DeliveryModel::Unordered,
             negate_props: false,
-            ..Default::default()
         },
     );
     let ids = enc.id_terms();
@@ -130,7 +127,6 @@ fn solver_stats_accumulate_across_checks() {
         EncodeOptions {
             delivery: DeliveryModel::Unordered,
             negate_props: false,
-            ..Default::default()
         },
     );
     assert_eq!(enc.solver.check(), SatResult::Sat);

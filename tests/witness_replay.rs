@@ -28,7 +28,6 @@ fn all_models_replay(program: &mcapi::Program, model: DeliveryModel) {
         EncodeOptions {
             delivery: model,
             negate_props: false,
-            ..Default::default()
         },
     );
     let ids = enc.id_terms();
