@@ -10,6 +10,14 @@
 //! SSA data flow; `PProp` collects the program's assertions, negated for
 //! violation queries.
 //!
+//! The delivery models other than the paper's arbitrary-delay network add
+//! ordering axioms to `POrder`, built per model by
+//! [`Encoding::delivery_axioms`]. They stay linear in the match pairs: each
+//! receive gets one send-clock variable `sc(r)`, bound to the clock of the
+//! send it consumes, and the receives of each ordered send group (an
+//! endpoint under zero delay, a source-destination channel under pairwise
+//! FIFO) are ordered pairwise by those clocks, O(R²) per group.
+//!
 //! The per-path parts — event clocks, branch pins, local order chains and
 //! assertion terms — live in [`Encoding::paths`]. Path 0 is the trace
 //! [`encode_core`] was built from; [`Encoding::attach_path`] maps further
@@ -26,7 +34,7 @@ use mcapi::program::{Instr, Program};
 use mcapi::trace::{EventKind, Trace};
 use mcapi::types::{DeliveryModel, EndpointAddr, Matching, MsgId, RecvKey};
 use smt::{Model, SmtSolver, TermId};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Encoding options.
 #[derive(Clone, Copy, Debug)]
@@ -134,6 +142,9 @@ pub struct Encoding {
     /// Per-thread event indices of path 0's communication events, used to
     /// map further paths' traces onto the shared clock variables.
     comm_event_idx: Vec<Vec<usize>>,
+    /// Per receive (in `recvs` order), the indices into `sends` of its
+    /// Fig. 2 candidates.
+    cands: Vec<Vec<usize>>,
     pub stats: EncodeStats,
 }
 
@@ -155,14 +166,17 @@ impl Encoding {
 
     /// Build (without asserting) the ordering axioms of one delivery model
     /// over this encoding's sends and receives. `Unordered` has none — the
-    /// paper's network adds no constraints beyond program order. The
-    /// session layer asserts these guarded by a selector literal; the
-    /// one-shot [`encode`] asserts them directly.
+    /// paper's network adds no constraints beyond program order; the
+    /// ordered models are linear in the match pairs plus O(R²) per ordered
+    /// send group (see `delivery_axiom_terms`). The session layer asserts
+    /// these guarded by a selector literal; the one-shot [`encode`] asserts
+    /// them directly.
     pub fn delivery_axioms(&mut self, delivery: DeliveryModel) -> Vec<TermId> {
         delivery_axiom_terms(
             &mut self.solver,
             &self.sends,
             &self.recvs,
+            &self.cands,
             delivery,
             &mut self.stats,
         )
@@ -579,13 +593,16 @@ pub fn encode_core(program: &Program, trace: &Trace, pairs: &MatchPairs) -> Enco
     // ---- PMatchPairs: Fig. 2 of the paper ----
     let send_by_msg: HashMap<MsgId, usize> =
         sends.iter().enumerate().map(|(i, s)| (s.msg, i)).collect();
+    let mut cands: Vec<Vec<usize>> = Vec::with_capacity(recvs.len());
     for r in &recvs {
         let mut disjuncts: Vec<TermId> = Vec::new();
+        let mut mine: Vec<usize> = Vec::new();
         if let Some(candidates) = pairs.sends_for.get(&r.key) {
             for msg in candidates {
                 let Some(&si) = send_by_msg.get(msg) else {
                     continue;
                 };
+                mine.push(si);
                 let s = sends[si];
                 // match(recv, send): the send is issued before the receive
                 // is observed, the values coincide, and the identifiers
@@ -598,6 +615,7 @@ pub fn encode_core(program: &Program, trace: &Trace, pairs: &MatchPairs) -> Enco
             }
         }
         stats.match_disjuncts += disjuncts.len();
+        cands.push(mine);
         let any = solver.or(disjuncts);
         solver.assert_term(any); // empty set folds to `false`: recv unmatched
     }
@@ -622,90 +640,151 @@ pub fn encode_core(program: &Program, trace: &Trace, pairs: &MatchPairs) -> Enco
         recvs,
         paths: vec![path],
         comm_event_idx,
+        cands,
         stats,
     }
 }
 
 /// Delivery-model ordering axioms (POrder extensions) over an encoded
 /// trace, built but not asserted. See [`Encoding::delivery_axioms`].
+///
+/// Each receive `r` that takes part in an ordered group gets one integer
+/// `sc(r)`, the clock of the send it consumed: `bind(r,s) -> sc(r) =
+/// clk(s)` for each candidate send `s`, where `bind(r,s)` is the Fig. 2
+/// identifier atom `id(r) = id(s)`. A group is a set of sends that reach
+/// one endpoint in a fixed order, together with the receives there that
+/// can take one of them; for each ordered pair of those receives the group
+/// asserts `sc(ra) < sc(rb) -> obs(ra) < obs(rb)`. Under zero delay a
+/// group is every send to one endpoint (their clocks are kept pairwise
+/// distinct); under pairwise FIFO it is one channel `(source thread,
+/// destination)`, whose sends are program-ordered, and the pair axiom is
+/// further guarded by a Boolean `on(r,c)` implied by `r` binding a send of
+/// channel `c`. A group with a single send orders nothing and emits
+/// nothing. The size is linear in the candidate pairs plus O(R²) per
+/// group, where the direct formulation quantifies over send pairs × receive
+/// pairs.
 fn delivery_axiom_terms(
     solver: &mut SmtSolver,
     sends: &[SendVar],
     recvs: &[RecvVar],
+    cands: &[Vec<usize>],
     delivery: DeliveryModel,
     stats: &mut EncodeStats,
 ) -> Vec<TermId> {
     let mut axioms: Vec<TermId> = Vec::new();
+    // Ordered send groups, keyed by destination and, under pairwise FIFO,
+    // the source thread of the channel.
+    let mut groups: BTreeMap<(EndpointAddr, Option<u16>), Vec<usize>> = BTreeMap::new();
     match delivery {
-        DeliveryModel::Unordered => {}
+        DeliveryModel::Unordered => return axioms,
         DeliveryModel::PairwiseFifo => {
-            // Sends from one source to one destination arrive in order: if
-            // ra consumed the later send and rb the earlier one, rb must
-            // have completed first.
-            for (i1, s1) in sends.iter().enumerate() {
-                for s2 in sends.iter().skip(i1 + 1) {
-                    if s1.msg.thread != s2.msg.thread || s1.to != s2.to {
-                        continue;
-                    }
-                    let (first, second) = if s1.msg.seq < s2.msg.seq {
-                        (s1, s2)
-                    } else {
-                        (s2, s1)
-                    };
-                    for ra in recvs.iter().filter(|r| r.endpoint == s1.to) {
-                        for rb in recvs.iter().filter(|r| r.endpoint == s1.to) {
-                            if ra.key == rb.key {
-                                continue;
-                            }
-                            let a2 = solver.eq_const(ra.id_term, second.id);
-                            let b1 = solver.eq_const(rb.id_term, first.id);
-                            let premise = solver.and2(a2, b1);
-                            let conc = solver.lt(rb.clock_obs, ra.clock_obs);
-                            let imp = solver.implies(premise, conc);
-                            axioms.push(imp);
-                            stats.order_constraints += 1;
-                        }
-                    }
-                }
+            for (si, s) in sends.iter().enumerate() {
+                groups
+                    .entry((s.to, Some(s.msg.thread)))
+                    .or_default()
+                    .push(si);
             }
         }
         DeliveryModel::ZeroDelay => {
-            // Instant in-order delivery (the MCC / Elwakil&Yang model):
-            // receives at an endpoint consume sends in global send order.
-            for (i1, s1) in sends.iter().enumerate() {
-                for s2 in sends.iter().skip(i1 + 1) {
-                    if s1.to != s2.to {
-                        continue;
-                    }
-                    // Same-destination sends are totally ordered in time.
-                    let distinct = solver.ne(s1.clock, s2.clock);
-                    axioms.push(distinct);
-                    stats.order_constraints += 1;
-                    for ra in recvs.iter().filter(|r| r.endpoint == s1.to) {
-                        for rb in recvs.iter().filter(|r| r.endpoint == s1.to) {
-                            if ra.key == rb.key {
-                                continue;
-                            }
-                            // ra took s1, rb took s2, s1 sent first =>
-                            // ra completed first (and symmetrically).
-                            for (sa, sb) in [(s1, s2), (s2, s1)] {
-                                let pa = solver.eq_const(ra.id_term, sa.id);
-                                let pb = solver.eq_const(rb.id_term, sb.id);
-                                let ord = solver.lt(sa.clock, sb.clock);
-                                let premise = solver.and([pa, pb, ord]);
-                                let conc = solver.lt(ra.clock_obs, rb.clock_obs);
-                                let imp = solver.implies(premise, conc);
-                                axioms.push(imp);
-                                stats.order_constraints += 1;
-                            }
-                        }
+            for (si, s) in sends.iter().enumerate() {
+                groups.entry((s.to, None)).or_default().push(si);
+            }
+            // Same-destination sends are totally ordered in time.
+            for members in groups.values() {
+                for (k, &s1) in members.iter().enumerate() {
+                    for &s2 in &members[k + 1..] {
+                        axioms.push(solver.ne(sends[s1].clock, sends[s2].clock));
                     }
                 }
             }
         }
     }
-
+    let mut send_clocks: Vec<Option<TermId>> = vec![None; recvs.len()];
+    for ((to, channel), members) in &groups {
+        if members.len() < 2 {
+            continue;
+        }
+        // The receives that can take one of the group's sends, with the
+        // binds that make them members.
+        let mut rows: Vec<(usize, Vec<TermId>)> = Vec::new();
+        for (ri, r) in recvs.iter().enumerate() {
+            if r.endpoint != *to {
+                continue;
+            }
+            let binds: Vec<TermId> = cands[ri]
+                .iter()
+                .filter(|&&si| channel.is_none_or(|c| sends[si].msg.thread == c))
+                .map(|&si| solver.eq_const(r.id_term, sends[si].id))
+                .collect();
+            if !binds.is_empty() {
+                rows.push((ri, binds));
+            }
+        }
+        if rows.len() < 2 {
+            continue;
+        }
+        // Per receive: `sc(r)`, the membership literal (none under zero
+        // delay: every receive binds a send to its own endpoint) and
+        // `obs(r)`.
+        let rows: Vec<(TermId, Option<TermId>, TermId)> = rows
+            .into_iter()
+            .map(|(ri, binds)| {
+                let r = &recvs[ri];
+                // A receive whose every candidate is in the channel is on it
+                // in every model, and needs no literal.
+                let partial = binds.len() < cands[ri].len();
+                let on = channel.filter(|_| partial).map(|c| {
+                    let on = solver.bool_var(format!("on_{:?}_t{c}", r.key));
+                    for bind in binds {
+                        axioms.push(solver.implies(bind, on));
+                    }
+                    on
+                });
+                let sc = *send_clocks[ri]
+                    .get_or_insert_with(|| send_clock(solver, sends, r, &cands[ri], &mut axioms));
+                (sc, on, r.clock_obs)
+            })
+            .collect();
+        for (a, &(sc_a, on_a, obs_a)) in rows.iter().enumerate() {
+            for (b, &(sc_b, on_b, obs_b)) in rows.iter().enumerate() {
+                if a == b {
+                    continue;
+                }
+                let earlier = solver.lt(sc_a, sc_b);
+                let mut clause: Vec<TermId> = [on_a, on_b, Some(earlier)]
+                    .into_iter()
+                    .flatten()
+                    .map(|t| solver.not(t))
+                    .collect();
+                clause.push(solver.lt(obs_a, obs_b));
+                axioms.push(solver.or(clause));
+            }
+        }
+    }
+    stats.order_constraints += axioms.len();
     axioms
+}
+
+/// Declare `sc(r)`, the clock of the send `r` consumed, and bind it with
+/// `bind(r,s) -> sc(r) = clk(s)` for each candidate `s`. A receive with a
+/// single candidate must consume it, so its `sc(r)` is that send's clock.
+fn send_clock(
+    solver: &mut SmtSolver,
+    sends: &[SendVar],
+    r: &RecvVar,
+    cands: &[usize],
+    axioms: &mut Vec<TermId>,
+) -> TermId {
+    if let [only] = cands {
+        return sends[*only].clock;
+    }
+    let sc = solver.int_var(format!("sc_{:?}", r.key));
+    for &si in cands {
+        let bind = solver.eq_const(r.id_term, sends[si].id);
+        let same = solver.eq(sc, sends[si].clock);
+        axioms.push(solver.implies(bind, same));
+    }
+    sc
 }
 
 #[cfg(test)]

@@ -81,16 +81,16 @@ use symbolic::session::SessionPool;
 /// back to unordered here would silently override a file's
 /// `// delivery:` header and can flip the verdict.
 fn delivery_flag(args: &[String]) -> Result<Option<DeliveryModel>, String> {
-    let Some(i) = args.iter().position(|a| a == "--delivery") else {
-        return Ok(None);
-    };
-    match args.get(i + 1).and_then(|v| frontend::parse_delivery(v)) {
-        Some(m) => Ok(Some(m)),
-        None => Err(format!(
-            "unknown delivery model {:?}; expected unordered|fifo|zero",
-            args.get(i + 1)
-        )),
-    }
+    strict_value(args, "--delivery")?
+        .map(|v| {
+            frontend::parse_delivery(v).ok_or_else(|| {
+                format!(
+                    "unknown delivery model {v:?}; expected unordered|fifo|zero\n{}",
+                    usage(&args[0])
+                )
+            })
+        })
+        .transpose()
 }
 
 /// Every subcommand with its usage spec: the positional arguments, then
@@ -359,16 +359,17 @@ fn write_outputs(
     Ok(())
 }
 
-/// The value following `flag`, refusing to consume a `--`-prefixed token:
-/// in `--json --budget-ms 100` the `--json` value is *missing*, not
-/// `"--budget-ms"` (which would otherwise be interpreted twice).
+/// The value following `flag` of `args[0]`'s command, refusing to consume
+/// a `--`-prefixed token: in `--json --budget-ms 100` the `--json` value
+/// is *missing*, not `"--budget-ms"` (which would otherwise be
+/// interpreted twice).
 fn strict_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
     let Some(i) = args.iter().position(|a| a == flag) else {
         return Ok(None);
     };
     match args.get(i + 1).map(String::as_str) {
         Some(v) if !v.starts_with("--") => Ok(Some(v)),
-        _ => Err(format!("{flag} needs a value")),
+        _ => Err(format!("{flag} needs a value\n{}", usage(&args[0]))),
     }
 }
 
@@ -378,8 +379,12 @@ fn strict_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, S
 fn parse_flag_strict(args: &[String], flag: &str) -> Result<Option<u64>, String> {
     strict_value(args, flag)?
         .map(|raw| {
-            raw.parse()
-                .map_err(|_| format!("{flag}: cannot parse {raw:?} as a number"))
+            raw.parse().map_err(|_| {
+                format!(
+                    "{flag}: cannot parse {raw:?} as a number\n{}",
+                    usage(&args[0])
+                )
+            })
         })
         .transpose()
 }
@@ -836,7 +841,8 @@ fn check(args: &[String], program: &Program, delivery: DeliveryModel) -> Result<
         Some(other) => {
             return Err(format!(
                 "unknown engine {other:?}; expected \
-                 symbolic-precise|symbolic-overapprox|symbolic-paths|explicit"
+                 symbolic-precise|symbolic-overapprox|symbolic-paths|explicit\n{}",
+                usage(&args[0])
             ))
         }
     };

@@ -547,26 +547,27 @@ fn portfolio_rejects_unknown_family() {
 
 #[test]
 fn portfolio_flag_typos_are_usage_errors_not_silent_fallbacks() {
-    // Garbage numeric value must not silently mean "unbounded"/"default".
-    let out = bin()
-        .args(["sweep", "--budget-ms", "10s", "--families", "fig1"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2), "bad --budget-ms");
-    let out = bin().args(["sweep", "--scale", "3x"]).output().unwrap();
-    assert_eq!(out.status.code(), Some(2), "bad --scale");
-    // A delivery typo must not silently narrow the grid to unordered.
-    let out = bin()
-        .args(["sweep", "--families", "fig1", "--delivery", "bogus"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2), "bad --delivery");
-    // --json without a path must not silently print the table.
-    let out = bin()
-        .args(["sweep", "--families", "fig1", "--json"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2), "missing --json path");
+    // A garbage numeric value must not silently mean "unbounded" or
+    // "default", a delivery typo must not silently narrow the grid to
+    // unordered, and `--json` without a path must not silently print the
+    // table. Each is exit 2 with the command's usage line.
+    for args in [
+        &["sweep", "--budget-ms", "10s", "--families", "fig1"][..],
+        &["sweep", "--scale", "3x"],
+        &["sweep", "--families", "fig1", "--delivery", "bogus"],
+        &["sweep", "--families", "fig1", "--json"],
+        &["check", "corpus/fig1.mcapi", "--budget-ms", "--precise"],
+        &["check", "corpus/fig1.mcapi", "--engine", "bogus"],
+    ] {
+        let out = bin().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("usage: mcapi-smc {}", args[0])),
+            "{args:?}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
 }
 
 #[test]
