@@ -13,7 +13,7 @@
 //! [`mcapi::expr::Cond::eval`] on a materialised local array, so the
 //! analysis agrees with the interpreter bit-for-bit (including the
 //! saturating `+` semantics) — the soundness of every downstream
-//! consumer (branch-arm classification, triage, pruning facts) rests on
+//! consumer (branch-arm classification, lint, triage) rests on
 //! this evaluator never disagreeing with a real execution.
 
 use mcapi::expr::{Cond, Expr};

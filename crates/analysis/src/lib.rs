@@ -1,7 +1,7 @@
 //! # analysis — static communication analysis over compiled MCAPI programs
 //!
 //! A pre-verification pass over [`mcapi::program::Program`]s (flat,
-//! loop-free code) producing three artefacts:
+//! loop-free code) producing two artefacts:
 //!
 //! 1. **Lint findings** ([`Finding`]): orphan receives (no reachable
 //!    sender targets the endpoint), waits on never-issued requests,
@@ -10,12 +10,7 @@
 //!    arms. The MCAPI-lite frontend maps findings back to source spans
 //!    via [`mcapi::program::Thread::origins`] and renders them with the
 //!    caret machinery (`mcapi-smc lint`).
-//! 2. **Pruning facts** ([`StaticFacts`]): per-pc forced branch outcomes
-//!    and constant send payloads, handed to the path engine's pruner
-//!    when it is built (`symbolic::paths::PathPruner::new`) to discharge
-//!    infeasible plans without solver queries and to tighten the
-//!    receive-value domains it encodes once per program.
-//! 3. **A triage verdict** ([`triage::StaticVerdict`]): scenarios the
+//! 2. **A triage verdict** ([`triage::StaticVerdict`]): scenarios the
 //!    analysis can decide soundly (see `crate::triage` for the argument)
 //!    are settled with zero engine work by the portfolio driver.
 //!
@@ -30,7 +25,7 @@ pub mod constprop;
 pub mod triage;
 
 use comm::{sends_by_endpoint, straight_run, RunEnd, SendSite, StraightRun};
-use constprop::{eval_cond, flow, ThreadFlow, Val};
+use constprop::{eval_cond, flow, ThreadFlow};
 use mcapi::program::{Instr, Program};
 use mcapi::types::EndpointAddr;
 use std::collections::BTreeMap;
@@ -101,50 +96,11 @@ pub struct Finding {
     pub message: String,
 }
 
-/// Facts the path engine's pruner consumes. Both tables are parallel to
-/// each thread's `code`.
-#[derive(Clone, Debug, Default)]
-pub struct StaticFacts {
-    /// `forced[t][pc] = Some(outcome)`: the branch at `t:pc` takes
-    /// `outcome` in every execution (its condition is constant).
-    pub forced: Vec<Vec<Option<bool>>>,
-    /// `const_payloads[t][pc] = Some(v)`: the send at `t:pc` always
-    /// carries exactly `v` (its payload expression is constant on every
-    /// reaching path).
-    pub const_payloads: Vec<Vec<Option<i64>>>,
-}
-
-impl StaticFacts {
-    /// An empty fact table (used when the analysis is disabled or the
-    /// program has non-forward flat code it refuses to reason about).
-    pub fn empty(program: &Program) -> StaticFacts {
-        StaticFacts {
-            forced: program
-                .threads
-                .iter()
-                .map(|t| vec![None; t.code.len()])
-                .collect(),
-            const_payloads: program
-                .threads
-                .iter()
-                .map(|t| vec![None; t.code.len()])
-                .collect(),
-        }
-    }
-
-    /// Number of forced-branch facts.
-    pub fn forced_count(&self) -> usize {
-        self.forced.iter().flatten().filter(|f| f.is_some()).count()
-    }
-}
-
 /// Everything one analysis run produced.
 #[derive(Clone, Debug)]
 pub struct AnalysisReport {
     /// Lint findings, ordered by (thread, pc).
     pub findings: Vec<Finding>,
-    /// Pruning facts for the path engine.
-    pub facts: StaticFacts,
     /// A statically decided verdict, when triage applies.
     pub static_verdict: Option<StaticVerdict>,
     /// The static path-space size (saturated just past the triage budget).
@@ -164,36 +120,6 @@ fn forward_only(program: &Program) -> bool {
     })
 }
 
-/// Just the pruning facts (the path engine's entry point — it has no use
-/// for findings or triage).
-pub fn facts(program: &Program) -> StaticFacts {
-    if !forward_only(program) {
-        return StaticFacts::empty(program);
-    }
-    let flows: Vec<ThreadFlow> = program.threads.iter().map(flow).collect();
-    facts_from_flows(program, &flows)
-}
-
-fn facts_from_flows(program: &Program, flows: &[ThreadFlow]) -> StaticFacts {
-    let mut f = StaticFacts::empty(program);
-    for (t, thread) in program.threads.iter().enumerate() {
-        f.forced[t].clone_from(&flows[t].forced);
-        for (pc, ins) in thread.code.iter().enumerate() {
-            let value = match ins {
-                Instr::Send { value, .. } | Instr::SendI { value, .. } => value,
-                _ => continue,
-            };
-            let Some(vals) = flows[t].in_vals[pc].as_deref() else {
-                continue;
-            };
-            if let Val::Const(c) = constprop::eval_expr(value, vals) {
-                f.const_payloads[t][pc] = Some(c);
-            }
-        }
-    }
-    f
-}
-
 /// Run the full analysis under the default [`TriageConfig`].
 pub fn analyze(program: &Program) -> AnalysisReport {
     analyze_with(program, &TriageConfig::default())
@@ -201,12 +127,11 @@ pub fn analyze(program: &Program) -> AnalysisReport {
 
 /// Run the full analysis: constant propagation, the communication graph,
 /// match-potential and deadlock findings, assertion/arm classification,
-/// pruning facts, and triage.
+/// and triage.
 pub fn analyze_with(program: &Program, cfg: &TriageConfig) -> AnalysisReport {
     if !forward_only(program) {
         return AnalysisReport {
             findings: Vec::new(),
-            facts: StaticFacts::empty(program),
             static_verdict: None,
             static_paths: triage::static_path_product(program, cfg.max_static_paths),
         };
@@ -229,7 +154,6 @@ pub fn analyze_with(program: &Program, cfg: &TriageConfig) -> AnalysisReport {
     let static_verdict = triage::triage(program, &flows, &runs, &findings, cfg);
     AnalysisReport {
         findings,
-        facts: facts_from_flows(program, &flows),
         static_verdict,
         static_paths: triage::static_path_product(program, cfg.max_static_paths),
     }
@@ -559,7 +483,7 @@ mod tests {
             .contains("statically true on every path"));
         // Tautologies and dead arms are warnings: triage still settles.
         assert_eq!(report.static_verdict, Some(StaticVerdict::Safe));
-        assert_eq!(report.facts.forced_count(), 1);
+        assert_eq!(flow(&p.threads[0]).forced.iter().flatten().count(), 1);
     }
 
     #[test]
@@ -593,15 +517,8 @@ mod tests {
             "{:?}",
             report.findings
         );
-        // The per-copy facts still exist for the pruner.
-        assert_eq!(report.facts.forced_count(), 3);
-        // Iteration payloads are constant: 1 and 2.
-        let consts: Vec<i64> = report.facts.const_payloads[0]
-            .iter()
-            .flatten()
-            .copied()
-            .collect();
-        assert_eq!(consts, vec![1, 2]);
+        // Each unrolled copy is forced on its own.
+        assert_eq!(flow(&p.threads[0]).forced.iter().flatten().count(), 3);
     }
 
     #[test]
@@ -619,8 +536,7 @@ mod tests {
                 origins: vec![],
             }],
         };
-        let f = facts(&p);
-        assert_eq!(f.forced_count(), 0);
+        // No claim about cyclic code: no findings and no verdict.
         let report = analyze(&p);
         assert!(report.findings.is_empty());
         assert_eq!(report.static_verdict, None);

@@ -66,10 +66,9 @@ pub struct PortfolioConfig {
     pub canonical: bool,
     /// Run the static triage pre-pass ([`analysis::analyze_with`]) before
     /// dispatching engines: scenarios whose verdict is statically decided
-    /// settle with zero engine work, and the `symbolic-paths` pruner is
-    /// fed static facts ([`symbolic::paths::PathsConfig::static_facts`]).
-    /// On by default; the CLI's `--no-static-triage` disables both — the
-    /// engine-only baseline the soundness differential compares against.
+    /// settle with zero engine work. On by default; the CLI's
+    /// `--no-static-triage` disables it — the engine-only baseline the
+    /// soundness differential compares against.
     pub static_triage: bool,
 }
 
@@ -114,7 +113,6 @@ impl PortfolioConfig {
             check: self.check_config(scenario),
             max_paths: self.max_paths,
             canonical: self.canonical,
-            static_facts: self.static_triage,
             ..PathsConfig::default()
         }
     }

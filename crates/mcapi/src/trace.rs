@@ -129,8 +129,8 @@ impl fmt::Display for Violation {
     }
 }
 
-/// A recorded execution.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+/// A recorded execution (empty by default).
+#[derive(Clone, Default, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct Trace {
     pub program_name: String,
     pub delivery: DeliveryModel,

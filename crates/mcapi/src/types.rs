@@ -122,11 +122,12 @@ impl fmt::Debug for RecvKey {
 pub type Matching = Vec<(RecvKey, MsgId)>;
 
 /// The network's delivery discipline — the crux of the paper.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 pub enum DeliveryModel {
     /// Arbitrary per-message transit delays: a receive may match *any*
     /// in-flight message addressed to its endpoint. This is the model the
     /// PPoPP'11 encoding captures (both pairings of the paper's Fig. 4).
+    #[default]
     Unordered,
     /// MCAPI-spec ordering: messages between one (source endpoint,
     /// destination endpoint) pair arrive in send order; messages from

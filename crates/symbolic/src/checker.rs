@@ -110,8 +110,8 @@ pub struct ConfirmedViolation {
 /// encoding and sibling-path attachment (attributed to the query that
 /// triggered the build), `solve_us` the time inside SMT checks,
 /// `schedule_us` the directed-scheduler searches realising paths, and
-/// `enumerate_us` static path enumeration plus feasibility pruning. The
-/// single-trace engines leave the last two at zero.
+/// `enumerate_us` static path enumeration. The single-trace engines
+/// leave the last two at zero.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTimings {
     /// Encoding built (core + sibling attachments), µs.
@@ -120,7 +120,7 @@ pub struct PhaseTimings {
     pub solve_us: u64,
     /// Directed-scheduler search time, µs.
     pub schedule_us: u64,
-    /// Path enumeration + feasibility pruning time, µs.
+    /// Static path enumeration time, µs.
     pub enumerate_us: u64,
 }
 
@@ -189,8 +189,9 @@ pub struct CheckReport {
     /// Control-flow paths the engine analysed (1 for the single-trace
     /// engines; the feasible-path count for `symbolic::paths`).
     pub paths_explored: usize,
-    /// Paths proven unreachable and skipped (solver feasibility pruning
-    /// plus exhaustive directed-search infeasibility).
+    /// Always 0: no engine skips a path unsearched. A plan the directed
+    /// search proves unrealisable counts in `paths_explored`. Kept for the
+    /// benchmark harness and the event schema.
     pub paths_pruned: usize,
     /// Transitions applied by the directed schedule searches realising
     /// paths (zero for the single-trace engines) — the work measure the
@@ -227,6 +228,24 @@ impl CheckReport {
             timings: PhaseTimings::default(),
             trace,
         }
+    }
+
+    /// Fold one trace's query into a multi-trace total: work counters and
+    /// phase times add up, `matchgen_pairs` keeps the largest pair set,
+    /// and `encode_stats` keeps the last query's. Encode stats are
+    /// formula *sizes*, not work: under session reuse the last query's is
+    /// the shared core's size, without it one representative core's.
+    /// Verdict, trace and the source-level path counters are the
+    /// caller's.
+    fn absorb(&mut self, query: &CheckReport) {
+        self.refinements += query.refinements;
+        self.sat_checks += query.sat_checks;
+        self.matchgen_states += query.matchgen_states;
+        self.matchgen_pairs = self.matchgen_pairs.max(query.matchgen_pairs);
+        self.solver_stats.merge(&query.solver_stats);
+        self.solver_introspect.merge(&query.solver_introspect);
+        self.timings.merge(&query.timings);
+        self.encode_stats = query.encode_stats;
     }
 }
 
@@ -322,7 +341,8 @@ pub trait TraceSource {
     }
     /// Traces yielded so far.
     fn paths_explored(&self) -> usize;
-    /// Control-flow paths proven unreachable and skipped.
+    /// Always 0 (see [`CheckReport::paths_pruned`]); kept for the
+    /// benchmark harness.
     fn paths_pruned(&self) -> usize {
         0
     }
@@ -336,7 +356,7 @@ pub trait TraceSource {
     fn canonical_skipped(&self) -> u64 {
         0
     }
-    /// µs spent enumerating and pruning the source's path space.
+    /// µs spent enumerating the source's path space.
     fn enumerate_us(&self) -> u64 {
         0
     }
@@ -481,7 +501,8 @@ pub fn check_source(
         deadline: source.deadline().or_else(|| cfg.resolve_deadline()),
         ..*cfg
     };
-    let mut agg = Aggregate::default();
+    let mut total = CheckReport::new(Verdict::Safe, Trace::default());
+    let mut last_trace: Option<Trace> = None;
     let mut first_reuse: Option<bool> = None;
     let mut unknown: Option<String> = None;
     let mut verdict: Option<Verdict> = None;
@@ -489,7 +510,7 @@ pub fn check_source(
     while let Some(st) = source.next_trace() {
         if st.trace.violation.is_some() {
             verdict = Some(violating_trace_verdict(&st.trace, st.branch_path));
-            agg.last_trace = Some(st.trace);
+            last_trace = Some(st.trace);
             break;
         }
         let pairs = make_pairs(program, &st.trace, &cfg);
@@ -498,8 +519,8 @@ pub fn check_source(
         report.matchgen_states = pairs.states_explored;
         report.matchgen_pairs = pairs.num_pairs();
         first_reuse.get_or_insert(reused);
-        agg.fold(&report);
-        agg.last_trace = Some(st.trace);
+        total.absorb(&report);
+        last_trace = Some(st.trace);
         match report.verdict {
             Verdict::Violation(mut cv) => {
                 cv.branch_path = st.branch_path;
@@ -522,59 +543,14 @@ pub fn check_source(
         ),
         None => Verdict::Safe,
     });
-    let trace = agg
-        .last_trace
-        .take()
-        .unwrap_or_else(|| execute_random(program, cfg.delivery, 0).trace);
-    let mut timings = agg.timings;
-    timings.enumerate_us += source.enumerate_us();
-    timings.schedule_us += source.schedule_us();
-    let report = CheckReport {
-        refinements: agg.refinements,
-        encode_stats: agg.encode_stats,
-        matchgen_states: agg.matchgen_states,
-        matchgen_pairs: agg.matchgen_pairs,
-        sat_checks: agg.sat_checks,
-        solver_stats: agg.solver_stats,
-        solver_introspect: agg.solver_introspect,
-        paths_explored: source.paths_explored(),
-        paths_pruned: source.paths_pruned(),
-        directed_transitions: source.directed_transitions(),
-        canonical_skipped: source.canonical_skipped(),
-        timings,
-        ..CheckReport::new(verdict, trace)
-    };
-    (report, first_reuse.unwrap_or(false))
-}
-
-/// Counter aggregation across per-trace reports.
-#[derive(Default)]
-struct Aggregate {
-    refinements: usize,
-    sat_checks: usize,
-    matchgen_states: usize,
-    matchgen_pairs: usize,
-    solver_stats: smt::Stats,
-    solver_introspect: smt::Introspect,
-    encode_stats: EncodeStats,
-    timings: PhaseTimings,
-    last_trace: Option<Trace>,
-}
-
-impl Aggregate {
-    fn fold(&mut self, report: &CheckReport) {
-        self.refinements += report.refinements;
-        self.sat_checks += report.sat_checks;
-        self.matchgen_states += report.matchgen_states;
-        self.matchgen_pairs = self.matchgen_pairs.max(report.matchgen_pairs);
-        self.solver_stats.merge(&report.solver_stats);
-        self.solver_introspect.merge(&report.solver_introspect);
-        self.timings.merge(&report.timings);
-        // Encode stats are formula *sizes*, not work counters: keep the
-        // last trace's (= the shared core's size under session reuse, one
-        // representative core without). Work totals live in solver_stats.
-        self.encode_stats = report.encode_stats;
-    }
+    total.verdict = verdict;
+    total.trace = last_trace.unwrap_or_else(|| execute_random(program, cfg.delivery, 0).trace);
+    total.timings.enumerate_us += source.enumerate_us();
+    total.timings.schedule_us += source.schedule_us();
+    total.paths_explored = source.paths_explored();
+    total.directed_transitions = source.directed_transitions();
+    total.canonical_skipped = source.canonical_skipped();
+    (total, first_reuse.unwrap_or(false))
 }
 
 /// The verdict for a trace that violated a property on its own: the

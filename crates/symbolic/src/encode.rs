@@ -388,7 +388,7 @@ impl Encoding {
 }
 
 /// Translate a DSL expression under an SSA environment.
-pub(crate) fn expr_term(solver: &mut SmtSolver, env: &[TermId], e: &Expr) -> TermId {
+fn expr_term(solver: &mut SmtSolver, env: &[TermId], e: &Expr) -> TermId {
     match e {
         Expr::Const(c) => solver.int_const(*c),
         Expr::Var(v) => env[v.0 as usize],
@@ -400,7 +400,7 @@ pub(crate) fn expr_term(solver: &mut SmtSolver, env: &[TermId], e: &Expr) -> Ter
 }
 
 /// Translate a DSL condition under an SSA environment.
-pub(crate) fn cond_term(solver: &mut SmtSolver, env: &[TermId], c: &Cond) -> TermId {
+fn cond_term(solver: &mut SmtSolver, env: &[TermId], c: &Cond) -> TermId {
     match c {
         Cond::True => solver.tru(),
         Cond::False => solver.fls(),

@@ -10,20 +10,14 @@
 //!    ([`mcapi::sched::program_paths`]): per thread, every branch-outcome
 //!    sequence its loop-free code admits; a program path is one
 //!    combination ([`BranchPlan`]).
-//! 2. **Prune** value-infeasible paths with the solver ([`PathPruner`]):
-//!    encode once per program an over-approximation of each receive's
-//!    possible values (any payload some send addresses to its endpoint),
-//!    then answer each plan before replaying with one `check_assuming`
-//!    over its branch-condition pins. UNSAT is definitive — no execution
-//!    can drive the branches that way — and because the domains are
-//!    satisfiable, at most one outcome of a branch is ever pruned, so
-//!    every realizable prefix survives in some explored sibling.
-//! 3. **Replay** surviving paths under the directed scheduler
+//! 2. **Replay** each plan under the directed scheduler
 //!    ([`mcapi::sched::execute_directed`]): an exhaustive DFS over
 //!    schedules that forces each `Branch` to the prescribed outcome,
-//!    yielding one concrete trace per feasible path (or a definitive
-//!    infeasibility report).
-//! 4. **Check** each trace through the session-based checker. Sibling
+//!    yielding one concrete trace per feasible path. It is the engine's
+//!    one infeasibility oracle: a plan no execution realises (a branch
+//!    arm no sent value can drive, say) ends in a definitive
+//!    infeasibility report, and the plan still counts as explored.
+//! 3. **Check** each trace through the session-based checker. Sibling
 //!    paths of one program share the encoded communication core through
 //!    [`SessionPool::session_for_path`]; only branch pins, local chains
 //!    and assertion terms are per-path groups.
@@ -36,17 +30,13 @@
 //! wall-clock deadline expired — never a silent `Safe`.
 
 use crate::checker::{check_source, CheckConfig, CheckReport, SourcedTrace, TraceSource, Verdict};
-use crate::encode::{cond_term, expr_term};
 use crate::session::SessionPool;
-use mcapi::expr::Expr;
-use mcapi::program::{Instr, Program};
+use mcapi::program::Program;
 use mcapi::sched::{
     execute_directed_with_stats, program_paths, BranchPlan, DirectedConfig, DirectedOutcome,
 };
 use mcapi::trace::Trace;
-use mcapi::types::EndpointAddr;
-use smt::{SatResult, SmtSolver, TermId};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::HashSet;
 use std::time::Instant;
 
 /// Configuration of one path-complete check.
@@ -69,13 +59,6 @@ pub struct PathsConfig {
     /// default). Disable (`--no-canonical`) to sweep every interleaving —
     /// the baseline the CI perf gate compares against.
     pub canonical: bool,
-    /// Feed static-analysis facts ([`analysis::facts`]) into the pruner
-    /// (the default): forced-branch outcomes decide contradicting plans
-    /// without a solver query, and constant send payloads tighten the
-    /// receive-value domains so more value-infeasible plans prune.
-    /// Disable (`--no-static-triage`) to run the pruner purely
-    /// solver-driven — the differential baseline.
-    pub static_facts: bool,
 }
 
 impl Default for PathsConfig {
@@ -85,225 +68,14 @@ impl Default for PathsConfig {
             max_paths: 256,
             search_max_transitions: u64::MAX,
             canonical: true,
-            static_facts: true,
         }
-    }
-}
-
-/// Solver-backed feasibility pruning: is there *any* assignment of
-/// receive values (over-approximated by the payloads sends address to
-/// each endpoint) that drives the branches the way a plan prescribes?
-///
-/// The over-approximation ignores ordering, multiplicity and delivery
-/// discipline, so `UNSAT` proves the plan infeasible while `SAT` proves
-/// nothing — the directed search stays the exact oracle. Receive domains
-/// are always satisfiable (an endpoint nobody sends to leaves the value
-/// unconstrained), so for every branch at most one outcome can be pruned.
-///
-/// The program is encoded once: one value variable per static receive
-/// `(thread, pc)` with its endpoint domain asserted permanently. Each
-/// plan is answered by `check_assuming` over its branch pins, so nothing
-/// is declared, pushed or popped per query and the SAT problem stops
-/// growing once every thread path has been seen. Sharing a receive's
-/// variable across plans is sound because the variable is fresh (its
-/// domain holds whatever the send-side variables are) and a loop-free
-/// path visits each pc at most once.
-pub struct PathPruner {
-    solver: SmtSolver,
-    /// `recv_vals[t][pc]`: the value the receive at `t:pc` binds (`None`
-    /// for every other instruction).
-    recv_vals: Vec<Vec<Option<TermId>>>,
-    /// Static-analysis facts (empty when the caller opts out). Forced
-    /// branch outcomes are exact under constant propagation, so a plan
-    /// pinning a branch against its forced outcome is infeasible with no
-    /// solver query; constant payloads replace a send's fresh variable
-    /// with the one value it can ever carry.
-    facts: analysis::StaticFacts,
-    /// Branch pins of thread path `space[t][k]`, keyed `(t, k)` and walked
-    /// on first use; `None` when a forced fact contradicts an outcome.
-    pins: HashMap<(usize, usize), Option<Vec<TermId>>>,
-    /// Feasibility queries answered.
-    pub queries: usize,
-    /// Queries decided by a forced-branch fact alone (no solver call).
-    pub fact_prunes: usize,
-}
-
-impl PathPruner {
-    /// Encode every receive's over-approximate value domain: any payload
-    /// some static send addresses to its endpoint, with the sender's
-    /// locals as fresh unconstrained variables. A send whose payload
-    /// `facts` proves constant on every reaching path contributes
-    /// `int_const(c)` instead, which still over-approximates every
-    /// reachable value, so UNSAT remains definitive. Callers that opt out
-    /// of static facts pass [`analysis::StaticFacts::empty`].
-    pub fn new(program: &Program, facts: analysis::StaticFacts) -> PathPruner {
-        let mut solver = SmtSolver::new();
-        let sends_to = Self::send_domains(&mut solver, program, &facts);
-        let mut recv_vals = Vec::with_capacity(program.threads.len());
-        for (t, thread) in program.threads.iter().enumerate() {
-            let mut per_pc = vec![None; thread.code.len()];
-            for (pc, instr) in thread.code.iter().enumerate() {
-                let (Instr::Recv { port, .. } | Instr::RecvI { port, .. }) = instr else {
-                    continue;
-                };
-                let v = solver.int_var(format!("prune_t{t}_pc{pc}"));
-                // An endpoint nobody sends to leaves the value
-                // unconstrained: every domain must stay satisfiable for
-                // pruning to be sound.
-                if let Some(cands) = sends_to.get(&EndpointAddr::new(t, *port)) {
-                    let eqs: Vec<TermId> = cands.iter().map(|&c| solver.eq(v, c)).collect();
-                    let dom = solver.or(eqs);
-                    solver.assert_term(dom);
-                }
-                per_pc[pc] = Some(v);
-            }
-            recv_vals.push(per_pc);
-        }
-        PathPruner {
-            solver,
-            recv_vals,
-            facts,
-            pins: HashMap::new(),
-            queries: 0,
-            fact_prunes: 0,
-        }
-    }
-
-    /// Over-approximate payload terms per destination endpoint.
-    fn send_domains(
-        solver: &mut SmtSolver,
-        program: &Program,
-        facts: &analysis::StaticFacts,
-    ) -> BTreeMap<EndpointAddr, Vec<TermId>> {
-        let mut sends_to: BTreeMap<EndpointAddr, Vec<TermId>> = BTreeMap::new();
-        let mut fresh = 0usize;
-        for (t, thread) in program.threads.iter().enumerate() {
-            for (pc, instr) in thread.code.iter().enumerate() {
-                let (to, value) = match instr {
-                    Instr::Send { to, value } | Instr::SendI { to, value, .. } => (to, value),
-                    _ => continue,
-                };
-                let known = facts
-                    .const_payloads
-                    .get(t)
-                    .and_then(|per_pc| per_pc.get(pc))
-                    .copied()
-                    .flatten();
-                let term = match known {
-                    Some(c) => solver.int_const(c),
-                    None => Self::overapprox_expr(solver, value, &mut fresh),
-                };
-                sends_to.entry(*to).or_default().push(term);
-            }
-        }
-        sends_to
-    }
-
-    /// A payload expression with every variable read replaced by a fresh
-    /// unconstrained integer (the sender's locals are unknown here).
-    fn overapprox_expr(solver: &mut SmtSolver, e: &Expr, fresh: &mut usize) -> TermId {
-        match e {
-            Expr::Const(c) => solver.int_const(*c),
-            Expr::Var(_) => {
-                *fresh += 1;
-                solver.int_var(format!("ovr_{fresh}"))
-            }
-            Expr::AddConst(inner, c) => {
-                let t = Self::overapprox_expr(solver, inner, fresh);
-                solver.add_const(t, *c)
-            }
-        }
-    }
-
-    /// Is the plan `space[t][digits[t]]` (one thread path per thread, as
-    /// [`program_paths`] enumerates them) provably value-infeasible? Each
-    /// thread path's pins are walked once and memoized; the plan is then
-    /// one `check_assuming` over their union.
-    pub fn is_infeasible(
-        &mut self,
-        program: &Program,
-        space: &[Vec<Vec<bool>>],
-        digits: &[usize],
-    ) -> bool {
-        self.queries += 1;
-        let mut assumptions = Vec::new();
-        for (t, &k) in digits.iter().enumerate() {
-            if !self.pins.contains_key(&(t, k)) {
-                let pins = self.walk(program, t, &space[t][k]);
-                self.pins.insert((t, k), pins);
-            }
-            match &self.pins[&(t, k)] {
-                Some(pins) => assumptions.extend_from_slice(pins),
-                None => {
-                    self.fact_prunes += 1;
-                    return true;
-                }
-            }
-        }
-        self.solver.check_assuming(&assumptions) == SatResult::Unsat
-    }
-
-    /// The branch pins (`cond` or `¬cond`) along thread `t`'s path with
-    /// the given outcomes, over the receive variables and assignments it
-    /// passes; `None` when a forced static fact contradicts an outcome.
-    fn walk(&mut self, program: &Program, t: usize, outcomes: &[bool]) -> Option<Vec<TermId>> {
-        let thread = &program.threads[t];
-        let zero = self.solver.int_const(0);
-        let mut env: Vec<TermId> = vec![zero; thread.num_vars];
-        let mut outcomes = outcomes.iter().copied();
-        let mut pins = Vec::new();
-        let mut pc = 0usize;
-        while pc < thread.code.len() {
-            match &thread.code[pc] {
-                // Non-blocking receives bind their value no later than the
-                // wait; for value feasibility the binding point is
-                // irrelevant.
-                Instr::Recv { var, .. } | Instr::RecvI { var, .. } => {
-                    env[var.0 as usize] = self.recv_vals[t][pc].expect("receive value declared");
-                    pc += 1;
-                }
-                Instr::Branch { cond, else_target } => {
-                    let taken = outcomes
-                        .next()
-                        .expect("a static path pins every branch it reaches");
-                    // A branch forced by constant propagation takes the
-                    // same outcome on *every* execution reaching it, so a
-                    // path pinning it the other way needs no solver.
-                    let forced = self
-                        .facts
-                        .forced
-                        .get(t)
-                        .and_then(|per_pc| per_pc.get(pc))
-                        .copied()
-                        .flatten();
-                    if forced.is_some_and(|f| f != taken) {
-                        return None;
-                    }
-                    let c = cond_term(&mut self.solver, &env, cond);
-                    pins.push(if taken { c } else { self.solver.not(c) });
-                    pc = if taken { pc + 1 } else { *else_target };
-                }
-                Instr::Jump { target } => pc = *target,
-                Instr::Assign { var, expr } => {
-                    env[var.0 as usize] = expr_term(&mut self.solver, &env, expr);
-                    pc += 1;
-                }
-                Instr::Send { .. }
-                | Instr::SendI { .. }
-                | Instr::Wait { .. }
-                | Instr::Assert { .. } => pc += 1,
-            }
-        }
-        Some(pins)
     }
 }
 
 /// What one explored path contributed.
 enum PathStep {
-    /// Killed by the static/solver pruner before any scheduling.
-    Pruned,
     /// The directed search ran to completion and proved no execution
-    /// realises the plan (exploration work the pruner failed to save).
+    /// realises the plan.
     Infeasible,
     /// A concrete violating execution — terminal for the whole check.
     ConcreteViolation(Trace),
@@ -317,7 +89,7 @@ enum PathStep {
 }
 
 /// The path frontier: enumerates [`BranchPlan`]s in a deterministic
-/// mixed-radix order, prunes, replays, and yields one trace per feasible
+/// mixed-radix order, replays each, and yields one trace per feasible
 /// path. Implements [`TraceSource`], so [`check_program_paths`] is
 /// [`crate::checker::check_source`] over this source.
 pub struct PathEnumerator<'a> {
@@ -330,18 +102,15 @@ pub struct PathEnumerator<'a> {
     next: usize,
     /// Total static paths (saturating).
     total: usize,
-    pruner: PathPruner,
     seen_traces: HashSet<Vec<mcapi::trace::Event>>,
     explored: usize,
-    pruned: usize,
     /// Some part of the path space was not covered (frontier budget, time
     /// budget, or an unresolved directed search).
     truncated: bool,
     /// Hard stop: no further paths will be yielded.
     stopped: bool,
     stop_reason: Option<String>,
-    /// µs spent enumerating plans and pruning (static space + solver
-    /// feasibility queries).
+    /// µs spent enumerating the static path space.
     enumerate_us: u64,
     /// µs spent in directed-scheduler searches realising paths.
     schedule_us: u64,
@@ -365,15 +134,6 @@ impl<'a> PathEnumerator<'a> {
             .try_fold(1usize, |a, b| a.checked_mul(b))
             .unwrap_or(usize::MAX);
         let deadline = cfg.check.resolve_deadline();
-        let facts = if cfg.static_facts {
-            let mut span = trace::span("analysis.facts");
-            let facts = analysis::facts(program);
-            span.arg("forced", facts.forced_count() as u64);
-            facts
-        } else {
-            analysis::StaticFacts::empty(program)
-        };
-        let pruner = PathPruner::new(program, facts);
         Ok(PathEnumerator {
             program,
             cfg: *cfg,
@@ -381,10 +141,8 @@ impl<'a> PathEnumerator<'a> {
             space,
             next: 0,
             total,
-            pruner,
             seen_traces: HashSet::new(),
             explored: 0,
-            pruned: 0,
             truncated: false,
             stopped: false,
             stop_reason: None,
@@ -395,17 +153,18 @@ impl<'a> PathEnumerator<'a> {
         })
     }
 
-    /// The mixed-radix digits of path index `i`: one index into
-    /// `space[t]` per thread.
-    fn digits_at(&self, mut i: usize) -> Vec<usize> {
-        self.space
-            .iter()
-            .map(|per_thread| {
-                let k = i % per_thread.len();
-                i /= per_thread.len();
-                k
-            })
-            .collect()
+    /// The plan at path index `i`: its mixed-radix digits pick one
+    /// thread path from `space[t]` per thread.
+    fn plan_at(&self, mut i: usize) -> BranchPlan {
+        BranchPlan {
+            outcomes: (self.space.iter())
+                .map(|per_thread| {
+                    let k = i % per_thread.len();
+                    i /= per_thread.len();
+                    per_thread[k].clone()
+                })
+                .collect(),
+        }
     }
 
     /// Advance one path; `None` when the frontier is exhausted or stopped.
@@ -428,24 +187,8 @@ impl<'a> PathEnumerator<'a> {
             self.stop_reason = Some("time budget exhausted during path exploration".into());
             return None;
         }
-        let digits = self.digits_at(self.next);
+        let plan = self.plan_at(self.next);
         self.next += 1;
-        let prune_start = Instant::now();
-        let infeasible = {
-            let _span = trace::span("paths.prune");
-            self.pruner
-                .is_infeasible(self.program, &self.space, &digits)
-        };
-        self.enumerate_us += prune_start.elapsed().as_micros() as u64;
-        if infeasible {
-            self.pruned += 1;
-            return Some(PathStep::Pruned);
-        }
-        let plan = BranchPlan {
-            outcomes: (digits.iter().zip(&self.space))
-                .map(|(&k, per_thread)| per_thread[k].clone())
-                .collect(),
-        };
         // The visited-state cap is the directed search's default.
         let dcfg = DirectedConfig {
             max_transitions: self.cfg.search_max_transitions,
@@ -467,10 +210,8 @@ impl<'a> PathEnumerator<'a> {
         self.canonical_skipped += search_stats.canonical_skipped;
         let step = match directed {
             DirectedOutcome::Infeasible { .. } => {
-                // The plan slipped past the pruner and the exhaustive
-                // search proved it empty: that is exploration work, so
-                // `paths_pruned` stays an honest measure of what the
-                // pruner (and its static facts) actually saved.
+                // The exhaustive search proved the plan empty: that is
+                // exploration work, so the plan counts as explored.
                 self.explored += 1;
                 PathStep::Infeasible
             }
@@ -503,7 +244,7 @@ impl TraceSource for PathEnumerator<'_> {
     fn next_trace(&mut self) -> Option<SourcedTrace> {
         loop {
             match self.step()? {
-                PathStep::Pruned | PathStep::Infeasible | PathStep::Duplicate => continue,
+                PathStep::Infeasible | PathStep::Duplicate => continue,
                 PathStep::Trace(trace) | PathStep::ConcreteViolation(trace) => {
                     // Render the branch vector the trace actually
                     // executed, not the prescription: a deadlocking
@@ -540,10 +281,6 @@ impl TraceSource for PathEnumerator<'_> {
         self.explored
     }
 
-    fn paths_pruned(&self) -> usize {
-        self.pruned
-    }
-
     fn directed_transitions(&self) -> u64 {
         self.directed_transitions
     }
@@ -552,7 +289,7 @@ impl TraceSource for PathEnumerator<'_> {
         self.canonical_skipped
     }
 
-    /// µs spent enumerating the static path space and pruning plans.
+    /// µs spent enumerating the static path space.
     fn enumerate_us(&self) -> u64 {
         self.enumerate_us
     }
@@ -686,8 +423,8 @@ mod tests {
     #[test]
     fn value_infeasible_arm_is_pruned_and_safe() {
         // All payloads are <= 20; the (v > 100) arm can never execute, so
-        // its always-false assertion must not produce a violation — and
-        // the pruner must kill the path before any directed search.
+        // its always-false assertion must not produce a violation: the
+        // directed search proves the arm's plan unrealisable.
         let mut b = ProgramBuilder::new("infeasible-arm");
         let c = b.thread("consumer");
         let p1 = b.thread("p1");
@@ -714,73 +451,10 @@ mod tests {
             "{:?}",
             report.verdict
         );
-        assert!(report.paths_pruned >= 1, "the pruner must kill the arm");
-    }
-
-    #[test]
-    fn forced_branch_facts_decide_contradicting_plans_without_the_solver() {
-        // A branch over a compile-time constant: the plan pinning its
-        // else arm contradicts the forced outcome and needs no solver.
-        let p = forced_branch();
-        let mut pruner = PathPruner::new(&p, analysis::facts(&p));
-        assert!(prune(&mut pruner, &p, &[&[false]]));
-        assert_eq!(pruner.fact_prunes, 1);
-        assert!(!prune(&mut pruner, &p, &[&[true]]));
-        assert_eq!(pruner.fact_prunes, 1, "the feasible plan asks the solver");
-        assert!(
-            prune(&mut pruner, &p, &[&[false]]),
-            "memoized contradiction"
-        );
-        assert_eq!(pruner.fact_prunes, 2, "every contradicting query counts");
-    }
-
-    #[test]
-    fn constant_payload_facts_prune_arms_the_bare_pruner_cannot() {
-        // The producer computes x = 5 and sends the *variable*: without
-        // facts the payload over-approximates to an unconstrained value
-        // and the (v >= 10) arm survives to the directed search; with
-        // const-payload facts the arm is value-infeasible and prunes.
-        let p = cross_block();
-        let then_arm: &[&[bool]] = &[&[true], &[]];
-        let mut bare = PathPruner::new(&p, analysis::StaticFacts::empty(&p));
-        assert!(!prune(&mut bare, &p, then_arm));
-        let mut with_facts = PathPruner::new(&p, analysis::facts(&p));
-        assert!(prune(&mut with_facts, &p, then_arm));
-        assert_eq!(
-            with_facts.fact_prunes, 0,
-            "decided by the solver through the tighter payload domain"
-        );
-
-        // End to end: identical verdict, strictly more paths pruned.
-        let off = check_program_paths(
-            &p,
-            &PathsConfig {
-                static_facts: false,
-                ..PathsConfig::default()
-            },
-        );
-        let on = check_program_paths(&p, &PathsConfig::default());
-        assert_eq!(
-            std::mem::discriminant(&off.verdict),
-            std::mem::discriminant(&on.verdict),
-            "off {:?} vs on {:?}",
-            off.verdict,
-            on.verdict
-        );
-        assert!(
-            on.paths_pruned > off.paths_pruned,
-            "facts on pruned {} vs off {}",
-            on.paths_pruned,
-            off.paths_pruned
-        );
-    }
-
-    #[test]
-    fn pruner_is_definitive_only_for_unsat() {
-        let p = gatekeeper();
-        let mut pruner = PathPruner::new(&p, analysis::StaticFacts::empty(&p));
-        assert!(!prune(&mut pruner, &p, &[&[], &[], &[], &[false]]));
-        assert!(!prune(&mut pruner, &p, &[&[], &[], &[], &[true]]));
+        // Both plans are searched; the one through the arm is refuted.
+        let mut paths = PathEnumerator::new(&p, &PathsConfig::default()).unwrap();
+        let realised = std::iter::from_fn(|| paths.next_trace()).count();
+        assert_eq!((paths.paths_explored(), realised), (2, 1));
     }
 
     #[test]
@@ -876,315 +550,7 @@ mod tests {
         assert!(pool.paths_attached >= 1);
     }
 
-    /// Answer a hand-written plan through the enumerator's interface:
-    /// each thread's outcomes are looked up in the static path space.
-    fn prune(pruner: &mut PathPruner, p: &Program, outcomes: &[&[bool]]) -> bool {
-        let space = program_paths(p, 4096).unwrap();
-        let digits: Vec<usize> = (outcomes.iter().zip(&space))
-            .map(|(o, per_thread)| {
-                per_thread
-                    .iter()
-                    .position(|path| path == o)
-                    .expect("the plan is a static path")
-            })
-            .collect();
-        pruner.is_infeasible(p, &space, &digits)
-    }
-
-    /// Every plan of `space` as mixed-radix digits, in the enumerator's
-    /// order.
-    fn all_digits(space: &[Vec<Vec<bool>>]) -> Vec<Vec<usize>> {
-        let total: usize = space.iter().map(Vec::len).product();
-        (0..total)
-            .map(|mut i| {
-                space
-                    .iter()
-                    .map(|per_thread| {
-                        let k = i % per_thread.len();
-                        i /= per_thread.len();
-                        k
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// The push/pop plan walk the one-encoding pruner replaced, kept as
-    /// the differential reference: per query it opens a scope, declares
-    /// fresh receive variables, re-asserts their domains, asserts the
-    /// pins and checks.
-    struct ReferencePruner {
-        solver: SmtSolver,
-        sends_to: BTreeMap<EndpointAddr, Vec<TermId>>,
-        facts: analysis::StaticFacts,
-        queries: usize,
-        fact_prunes: usize,
-    }
-
-    impl ReferencePruner {
-        fn new(program: &Program, facts: analysis::StaticFacts) -> ReferencePruner {
-            let mut solver = SmtSolver::new();
-            let sends_to = PathPruner::send_domains(&mut solver, program, &facts);
-            ReferencePruner {
-                solver,
-                sends_to,
-                facts,
-                queries: 0,
-                fact_prunes: 0,
-            }
-        }
-
-        fn reference_is_infeasible(&mut self, program: &Program, plan: &BranchPlan) -> bool {
-            self.queries += 1;
-            self.solver.push_scope();
-            let zero = self.solver.int_const(0);
-            let mut forced_contradiction = false;
-            'threads: for (t, thread) in program.threads.iter().enumerate() {
-                let mut env: Vec<TermId> = vec![zero; thread.num_vars];
-                let mut pc = 0usize;
-                let mut branch_idx = 0usize;
-                let mut steps = 0usize;
-                while pc < thread.code.len() {
-                    steps += 1;
-                    if steps > thread.code.len() + 1 {
-                        break 'threads; // cyclic code: leave pruning to search
-                    }
-                    match &thread.code[pc] {
-                        Instr::Recv { port, var } | Instr::RecvI { port, var, .. } => {
-                            self.bind_recv(t, *port, *var, &mut env);
-                            pc += 1;
-                        }
-                        Instr::Branch { cond, else_target } => {
-                            let Some(&taken) = plan.outcomes[t].get(branch_idx) else {
-                                break; // plan shorter than the walk: stop pinning
-                            };
-                            branch_idx += 1;
-                            let forced = self
-                                .facts
-                                .forced
-                                .get(t)
-                                .and_then(|per_pc| per_pc.get(pc))
-                                .copied()
-                                .flatten();
-                            if forced.is_some_and(|f| f != taken) {
-                                forced_contradiction = true;
-                                break 'threads;
-                            }
-                            let c = cond_term(&mut self.solver, &env, cond);
-                            let pinned = if taken { c } else { self.solver.not(c) };
-                            self.solver.assert_term(pinned);
-                            pc = if taken { pc + 1 } else { *else_target };
-                        }
-                        Instr::Jump { target } => {
-                            if *target <= pc {
-                                break 'threads; // cyclic code
-                            }
-                            pc = *target;
-                        }
-                        Instr::Assign { var, expr } => {
-                            let term = crate::encode::expr_term(&mut self.solver, &env, expr);
-                            env[var.0 as usize] = term;
-                            pc += 1;
-                        }
-                        Instr::Send { .. }
-                        | Instr::SendI { .. }
-                        | Instr::Wait { .. }
-                        | Instr::Assert { .. } => pc += 1,
-                    }
-                }
-            }
-            let infeasible = if forced_contradiction {
-                self.fact_prunes += 1;
-                true
-            } else {
-                self.solver.check() == SatResult::Unsat
-            };
-            self.solver.pop_scope();
-            infeasible
-        }
-
-        fn bind_recv(
-            &mut self,
-            thread: usize,
-            port: mcapi::types::Port,
-            var: mcapi::types::VarId,
-            env: &mut [TermId],
-        ) -> TermId {
-            let v = self
-                .solver
-                .int_var(format!("prune_t{thread}_v{}_{}", var.0, self.queries));
-            if let Some(cands) = self.sends_to.get(&EndpointAddr::new(thread, port)) {
-                if !cands.is_empty() {
-                    let eqs: Vec<TermId> = cands.iter().map(|&c| self.solver.eq(v, c)).collect();
-                    let dom = self.solver.or(eqs);
-                    self.solver.assert_term(dom);
-                }
-            }
-            env[var.0 as usize] = v;
-            v
-        }
-    }
-
-    /// What the differential saw on one program, summed over facts on
-    /// and off: plans compared, plans pruned, and plans pruned by a
-    /// forced fact alone.
-    #[derive(Default)]
-    struct Agreement {
-        plans: usize,
-        pruned: usize,
-        fact_prunes: usize,
-    }
-
-    /// Every plan of `p` gets the same answer from the one-encoding
-    /// pruner and the push/pop reference, with facts on and with facts
-    /// off. Programs whose path space cannot be enumerated have no plans.
-    fn assert_pruners_agree(name: &str, p: &Program) -> Agreement {
-        let mut seen = Agreement::default();
-        let Ok(space) = program_paths(p, 4096) else {
-            return seen;
-        };
-        for facts_on in [true, false] {
-            let facts = || {
-                if facts_on {
-                    analysis::facts(p)
-                } else {
-                    analysis::StaticFacts::empty(p)
-                }
-            };
-            let mut pruner = PathPruner::new(p, facts());
-            let mut reference = ReferencePruner::new(p, facts());
-            for digits in all_digits(&space) {
-                let plan = BranchPlan {
-                    outcomes: (digits.iter().zip(&space))
-                        .map(|(&k, per_thread)| per_thread[k].clone())
-                        .collect(),
-                };
-                let got = pruner.is_infeasible(p, &space, &digits);
-                let want = reference.reference_is_infeasible(p, &plan);
-                assert_eq!(
-                    got,
-                    want,
-                    "{name} (facts {facts_on}): plan {}",
-                    plan.render(p)
-                );
-                seen.plans += 1;
-                seen.pruned += got as usize;
-            }
-            assert_eq!(
-                pruner.fact_prunes, reference.fact_prunes,
-                "{name} (facts {facts_on}): fact prunes"
-            );
-            seen.fact_prunes += pruner.fact_prunes;
-        }
-        seen
-    }
-
-    #[test]
-    fn pruner_matches_the_push_pop_reference_on_every_grid_plan() {
-        let mut plans = 0;
-        for spec in workloads::default_grid(3) {
-            plans += assert_pruners_agree(&spec.name(), &spec.build()).plans;
-        }
-        assert!(plans > 0, "the grid has plans to compare");
-    }
-
-    #[test]
-    fn pruner_matches_the_push_pop_reference_on_random_programs() {
-        let mut pruned = 0;
-        for seed in 0..64 {
-            let cfg = workloads::RandomProgramConfig::default();
-            for (name, p) in [
-                (
-                    format!("random-{seed}"),
-                    workloads::random_program(seed, &cfg),
-                ),
-                (
-                    format!("rand-loop-{seed}"),
-                    workloads::random_loop_program(seed, 1 + (seed as usize % 3)),
-                ),
-            ] {
-                pruned += assert_pruners_agree(&name, &p).pruned;
-            }
-        }
-        assert!(pruned > 0, "some random plan prunes, so the net bites");
-    }
-
-    #[test]
-    fn fixture_prunes_agree_with_the_reference() {
-        let forced = assert_pruners_agree("forced", &forced_branch());
-        assert_eq!(forced.fact_prunes, 1, "facts on: the else arm, no solver");
-        assert_eq!(forced.pruned, 2, "facts off: the solver prunes it too");
-        let cross = assert_pruners_agree("cross-block", &cross_block());
-        assert_eq!(cross.fact_prunes, 0);
-        assert_eq!(cross.pruned, 1, "facts on only: the const-payload domain");
-    }
-
-    #[test]
-    fn pruner_solver_stops_growing_once_every_thread_path_is_seen() {
-        let p = workloads::branchy(5);
-        let space = program_paths(&p, 4096).unwrap();
-        let plans = all_digits(&space);
-        assert_eq!(plans.len(), 32);
-        let mut pruner = PathPruner::new(&p, analysis::facts(&p));
-        let pass = |pruner: &mut PathPruner| {
-            for digits in &plans {
-                pruner.is_infeasible(&p, &space, digits);
-                assert_eq!(pruner.solver.num_scopes(), 0);
-            }
-            (
-                pruner.solver.num_sat_vars(),
-                pruner.solver.num_theory_atoms(),
-            )
-        };
-        let first = pass(&mut pruner);
-        let second = pass(&mut pruner);
-        assert_eq!(
-            first, second,
-            "(SAT variables, theory atoms) after each pass"
-        );
-        assert_eq!(pruner.queries, 64);
-    }
-
     // ---- fixture programs ----
-
-    /// A branch over a compile-time constant: the plan pinning its else
-    /// arm contradicts the forced outcome and needs no solver.
-    fn forced_branch() -> Program {
-        let mut b = ProgramBuilder::new("forced");
-        let t = b.thread("t");
-        let x = b.fresh_var(t);
-        b.assign(t, x, Expr::Const(5));
-        b.push_op(
-            t,
-            Op::If {
-                cond: Cond::cmp(CmpOp::Ge, Expr::Var(x), Expr::Const(5)),
-                then_ops: vec![],
-                else_ops: vec![],
-            },
-        );
-        b.build().unwrap()
-    }
-
-    /// The producer computes x = 5 and sends the *variable*, so only the
-    /// const-payload fact shows the consumer's (v >= 10) arm infeasible.
-    fn cross_block() -> Program {
-        let mut b = ProgramBuilder::new("cross-block");
-        let c = b.thread("consumer");
-        let prod = b.thread("producer");
-        let v = b.recv(c, 0);
-        b.push_op(
-            c,
-            Op::If {
-                cond: Cond::cmp(CmpOp::Ge, Expr::Var(v), Expr::Const(10)),
-                then_ops: vec![],
-                else_ops: vec![],
-            },
-        );
-        let x = b.fresh_var(prod);
-        b.assign(prod, x, Expr::Const(5));
-        b.send_var(prod, c, 0, x);
-        b.build().unwrap()
-    }
 
     fn fig1() -> Program {
         let mut b = ProgramBuilder::new("fig1");

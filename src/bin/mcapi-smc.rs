@@ -59,8 +59,7 @@
 //! behind `symbolic-paths` and the explicit engine's state graph both
 //! honour it; see `mcapi::canon`), `--no-static-triage` (skip the static
 //! analysis pre-pass: scenarios it can decide soundly are normally
-//! settled with zero engine work, and its branch/payload facts feed the
-//! `symbolic-paths` pruner).
+//! settled with zero engine work).
 //!
 //! `check` accepts the same `--metrics-out`/`--events-out`/`--trace-out`
 //! flags: the single scenario is reported through the identical

@@ -499,7 +499,7 @@ fn check_paths_engine_safe_program_exits_0() {
         .unwrap();
     assert_eq!(out.status.code(), Some(0), "safe => exit 0");
     let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("1 pruned"), "{stdout}");
+    assert!(stdout.contains("paths: 2 explored"), "{stdout}");
 }
 
 #[test]

@@ -134,23 +134,23 @@ fn gatekeeper_gap_is_closed_by_the_path_engine() {
     assert!(explicit.found_violation());
 }
 
-/// `infeasible-arm.mcapi`: the violating arm cannot execute for any
-/// message values, and the solver-backed pruner must prove that (the path
-/// is pruned, not explored) while the verdict stays SAFE.
+/// Each of these files has two plans, and no execution realises one of
+/// them (a branch arm no sent value can drive). The directed search must
+/// refute that plan on its own: both plans are searched and the verdict
+/// stays SAFE.
 #[test]
-fn infeasible_arm_is_pruned_not_explored() {
-    let text = std::fs::read_to_string(corpus_dir().join("infeasible-arm.mcapi")).unwrap();
-    let program = parse_program(&text).unwrap();
-    let report = check_program_paths(&program, &PathsConfig::default());
-    assert!(
-        matches!(report.verdict, Verdict::Safe),
-        "{:?}",
-        report.verdict
-    );
-    assert!(
-        report.paths_pruned >= 1,
-        "the pruner must kill the unreachable arm"
-    );
+fn unrealisable_plans_are_searched_and_refuted() {
+    for name in ["cross-block", "handshake", "infeasible-arm"] {
+        let text = std::fs::read_to_string(corpus_dir().join(format!("{name}.mcapi"))).unwrap();
+        let program = parse_program(&text).unwrap();
+        let report = check_program_paths(&program, &PathsConfig::default());
+        assert!(
+            matches!(report.verdict, Verdict::Safe),
+            "{name}: {:?}",
+            report.verdict
+        );
+        assert_eq!(report.paths_explored, 2, "{name}");
+    }
 }
 
 /// `second-lap.mcapi`: the assertion only fails on the second `repeat`

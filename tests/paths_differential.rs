@@ -94,8 +94,8 @@ fn assert_paths_matches_explicit(program: &Program, model: DeliveryModel) {
         (Verdict::Violation(_), true) | (Verdict::Safe, false) => {}
         (verdict, explicit) => panic!(
             "{} [{model}]: paths engine said {verdict:?}, explicit violation = {explicit} \
-             ({} paths explored, {} pruned)",
-            program.name, report.paths_explored, report.paths_pruned
+             ({} paths explored)",
+            program.name, report.paths_explored
         ),
     }
 }

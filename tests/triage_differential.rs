@@ -3,15 +3,14 @@
 //! bit-identical to the engine-only baseline (`--no-static-triage`) —
 //! across the full scale-1 portfolio grid, the whole corpus, and
 //! randomized programs. Triage is a *routing* optimisation: it may
-//! settle a scenario with zero engine work or feed the path pruner
-//! static facts, but it must never change what the portfolio answers.
+//! settle a scenario with zero engine work, but it must never change
+//! what the portfolio answers.
 
 use driver::runner::{run_portfolio, Mode, PortfolioConfig};
 use driver::scenario::{corpus_scenarios, cross, Engine, ProgramSpec, Scenario};
 use mcapi::program::Program;
 use mcapi::types::DeliveryModel;
 use proptest::prelude::*;
-use symbolic::paths::{check_program_paths, PathsConfig};
 use workloads::grid::default_grid;
 use workloads::{random_loop_program, random_program, RandomProgramConfig};
 
@@ -68,8 +67,7 @@ fn grid_verdicts_are_bit_identical_with_and_without_triage() {
     );
 }
 
-/// The whole corpus under the branch-complete engine (the engine whose
-/// pruner consumes static facts, so both triage effects are in play).
+/// The whole corpus under the branch-complete engine.
 /// `const-assert.mcapi` is a straight-line constant violation, so at
 /// least one corpus scenario settles engine-free.
 #[test]
@@ -125,50 +123,4 @@ proptest! {
         let p = random_loop_program(seed, rounds);
         assert_triage_is_invisible(&p);
     }
-}
-
-/// The acceptance payoff for fact-fed pruning, on a branchy cross-thread
-/// shape: the producer computes `x = 5` and sends the *variable*, so
-/// without facts the payload over-approximates to an unconstrained value
-/// and the `v >= 10` arm survives to the directed search — while the
-/// const-payload fact makes the arm value-infeasible and prunes it. The
-/// verdict must not move; `paths_pruned` strictly increases.
-#[test]
-fn static_facts_strictly_increase_pruning_on_a_branchy_program() {
-    let text = "program fact_gap {\n\
-                \x20 thread consumer {\n\
-                \x20   var v;\n\
-                \x20   v = recv(0);\n\
-                \x20   if (v >= 10) {\n\
-                \x20     assert(v >= 10, \"hi\");\n\
-                \x20   } else {\n\
-                \x20     assert(v < 10, \"lo\");\n\
-                \x20   }\n\
-                \x20 }\n\
-                \x20 thread producer {\n\
-                \x20   var x;\n\
-                \x20   x = 5;\n\
-                \x20   send(consumer:0, x);\n\
-                \x20 }\n\
-                }\n";
-    let program = frontend::parse_program(text).unwrap();
-    let on = check_program_paths(&program, &PathsConfig::default());
-    let off = check_program_paths(
-        &program,
-        &PathsConfig {
-            static_facts: false,
-            ..PathsConfig::default()
-        },
-    );
-    assert_eq!(
-        format!("{:?}", on.verdict),
-        format!("{:?}", off.verdict),
-        "facts must not change the verdict"
-    );
-    assert!(
-        on.paths_pruned > off.paths_pruned,
-        "facts must prune strictly more: {} (on) vs {} (off)",
-        on.paths_pruned,
-        off.paths_pruned
-    );
 }
