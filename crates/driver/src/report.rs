@@ -82,8 +82,8 @@ pub struct ScenarioOutcome {
     /// Control-flow paths analysed (1 for single-trace symbolic engines,
     /// the feasible-path count for `symbolic-paths`).
     pub paths_explored: usize,
-    /// Control-flow paths proven unreachable and skipped
-    /// (`symbolic-paths` only).
+    /// Control-flow paths skipped unsearched: always 0, since no engine
+    /// skips a path; kept for the benchmark harness.
     pub paths_pruned: usize,
     /// Transitions applied by directed schedule searches
     /// (`symbolic-paths` only).
@@ -103,7 +103,7 @@ pub struct ScenarioOutcome {
     /// µs spent in directed-scheduler searches (`symbolic-paths` only).
     #[serde(default)]
     pub schedule_us: u64,
-    /// µs spent enumerating and pruning paths (`symbolic-paths` only).
+    /// µs spent in static path enumeration (`symbolic-paths` only).
     #[serde(default)]
     pub enumerate_us: u64,
     /// The full solver-stats delta this scenario cost (symbolic only;

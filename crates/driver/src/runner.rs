@@ -41,12 +41,10 @@ pub struct PortfolioConfig {
     /// Stop-on-first-violation ([`Mode::Race`]) or run-everything
     /// ([`Mode::Sweep`]).
     pub mode: Mode,
-    /// Per-scenario wall-clock budget for the *symbolic* solve/refine loop
-    /// (maps to [`CheckConfig::budget_ms`]). `None` = unbounded. The
-    /// explicit engine is bounded by [`PortfolioConfig::max_states`]
-    /// instead — it has no wall-clock knob.
+    /// Per-scenario wall-clock budget (maps to [`CheckConfig::budget_ms`]
+    /// and [`ExploreConfig::budget_ms`]). `None` = unbounded.
     pub budget_ms: Option<u64>,
-    /// Explicit-engine state-count cap (its analogue of a time budget).
+    /// Explicit-engine state-count cap.
     pub max_states: usize,
     /// Share one incremental SMT encoding per (trace, match pairs) across
     /// the delivery models, match generators and sibling control-flow
@@ -122,6 +120,7 @@ impl PortfolioConfig {
         ExploreConfig {
             model: scenario.delivery,
             max_states: self.max_states,
+            budget_ms: self.budget_ms,
             stop_at_first_violation: self.mode == Mode::Race,
             use_canonical: self.canonical,
             ..ExploreConfig::default()
@@ -239,6 +238,9 @@ impl EngineRun {
                 let messages: Vec<&str> = r.violations.iter().map(|v| v.message.as_str()).collect();
                 (out.verdict, out.detail) = if r.found_violation() {
                     (VerdictKind::Violation, messages.join("; "))
+                } else if r.out_of_time {
+                    let why = format!("explicit: time budget exhausted after {} states", r.states);
+                    (VerdictKind::Unknown, why)
                 } else if r.truncated {
                     let why = format!("state budget exhausted at {}", r.states);
                     (VerdictKind::Unknown, why)

@@ -1,18 +1,21 @@
-//! Breadth-first state-graph exploration with hashing.
+//! Breadth-first state-graph exploration over an exact interned store.
 //!
 //! States are [`mcapi::state::SysState`] values, optionally annotated with
 //! the matching history (which receive consumed which message) so that the
 //! set of distinct complete matchings — the paper's behaviour-coverage
 //! metric (Fig. 4) — can be read off the terminal states. Annotation makes
 //! the reachable graph larger (states that differ only in history stop
-//! merging); turn it off for pure state-count benchmarks.
+//! merging); turn it off for pure state-count benchmarks. Each visited
+//! state is stored as one row of `u32` ids into per-thread intern tables
+//! (the crate-private `store` module), compared exactly.
 
-use crate::stats::{ExploreResult, Matching, RecvKey};
-use mcapi::canon::{independent, summarize, ActionSummary};
+use crate::stats::ExploreResult;
+use crate::store::Store;
+use mcapi::canon::{independent, summarize};
 use mcapi::program::Program;
-use mcapi::state::{Action, SysState};
+use mcapi::state::SysState;
 use mcapi::types::DeliveryModel;
-use std::collections::{HashSet, VecDeque};
+use std::time::{Duration, Instant};
 
 /// Exploration parameters.
 #[derive(Clone, Copy, Debug)]
@@ -22,6 +25,10 @@ pub struct ExploreConfig {
     pub track_matchings: bool,
     /// Stop after visiting this many states (`truncated` set in the result).
     pub max_states: usize,
+    /// Wall-clock budget in milliseconds, fixed when `explore` starts and
+    /// polled every 1,024 visited states (`truncated` and `out_of_time`
+    /// set in the result). `None` = unbounded.
+    pub budget_ms: Option<u64>,
     /// Stop at the first assertion violation.
     pub stop_at_first_violation: bool,
     /// Prune successors that swap an adjacent independent pair out of the
@@ -42,6 +49,7 @@ impl Default for ExploreConfig {
             model: DeliveryModel::Unordered,
             track_matchings: true,
             max_states: 1_000_000,
+            budget_ms: None,
             stop_at_first_violation: false,
             use_canonical: false,
         }
@@ -57,60 +65,8 @@ impl ExploreConfig {
     }
 }
 
-/// A search node: system state plus (optional) matching history.
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub(crate) struct Node {
-    pub(crate) sys: SysState,
-    /// Sorted matching history (present only when tracking matchings).
-    pub(crate) matching: Matching,
-    /// Receives completed per thread so far (for RecvKey indices).
-    pub(crate) recv_counts: Vec<u16>,
-    /// The action (and its footprint) that produced this node — part of
-    /// the node identity only under [`ExploreConfig::use_canonical`],
-    /// always `None` otherwise so the default graph is unchanged.
-    pub(crate) last: Option<(Action, ActionSummary)>,
-}
-
-impl Node {
-    pub(crate) fn initial(program: &Program) -> Node {
-        Node {
-            sys: SysState::initial(program),
-            matching: Vec::new(),
-            recv_counts: vec![0; program.threads.len()],
-            last: None,
-        }
-    }
-
-    /// Successor node for `action`, updating matching bookkeeping.
-    /// `last` is the `(action, summary)` pair to stamp into the successor
-    /// (canonical mode only; `None` keeps node identity purely semantic).
-    pub(crate) fn successor(
-        &self,
-        program: &Program,
-        action: mcapi::state::Action,
-        model: DeliveryModel,
-        track_matchings: bool,
-        last: Option<(Action, ActionSummary)>,
-    ) -> Node {
-        let (next_sys, _events) = self.sys.apply(program, action, model);
-        let mut next = Node {
-            sys: next_sys,
-            matching: self.matching.clone(),
-            recv_counts: self.recv_counts.clone(),
-            last,
-        };
-        if let Some(msg) = action.message() {
-            let t = action.thread();
-            let key = RecvKey::new(t, next.recv_counts[t] as usize);
-            next.recv_counts[t] += 1;
-            if track_matchings {
-                let pos = next.matching.partition_point(|(k, _)| *k < key);
-                next.matching.insert(pos, (key, msg));
-            }
-        }
-        next
-    }
-}
+/// How many visited states pass between two looks at the clock.
+const DEADLINE_POLL: usize = 1024;
 
 /// BFS over the state graph.
 pub struct GraphExplorer<'a> {
@@ -125,24 +81,32 @@ impl<'a> GraphExplorer<'a> {
 
     /// Run the exploration to fixpoint (or a limit).
     pub fn explore(&self) -> ExploreResult {
+        let cfg = &self.config;
+        let deadline = cfg
+            .budget_ms
+            .map(|ms| Instant::now() + Duration::from_millis(ms));
         let mut result = ExploreResult::default();
-        let init = Node::initial(self.program);
-        let mut visited: HashSet<Node> = HashSet::new();
-        let mut queue: VecDeque<Node> = VecDeque::new();
-        visited.insert(init.clone());
-        queue.push_back(init);
+        // `sys` is the decoded state of the row being expanded; `row` and
+        // `child` are reused row buffers.
+        let mut sys = SysState::initial(self.program);
+        let mut store = Store::new(&sys, cfg.track_matchings);
+        let (mut row, mut child) = (Vec::new(), Vec::new());
+        // Rows are stored in BFS order: the frontier is rows `next..`.
+        let mut next = 0;
 
         // Frontier-generation accounting for tracing: `in_gen` counts
         // nodes left in the current BFS level; when it hits zero the
         // popped node starts the next level (the rest of which is
-        // exactly the queue's current contents). Pure bookkeeping — the
+        // exactly the frontier's current contents). Pure bookkeeping — the
         // iteration order is untouched.
         let mut generation: u64 = 0;
         let mut in_gen: usize = 1;
         let mut gen_states: u64 = 0;
         let mut gen_span = trace::span("explicit.generation");
 
-        while let Some(node) = queue.pop_front() {
+        while next < store.len() {
+            store.load(next, &mut row);
+            next += 1;
             if in_gen == 0 {
                 gen_span
                     .arg("generation", generation)
@@ -151,32 +115,51 @@ impl<'a> GraphExplorer<'a> {
                 generation += 1;
                 gen_states = 0;
                 gen_span = trace::span("explicit.generation");
-                in_gen = queue.len() + 1;
+                in_gen = store.len() - next + 1;
             }
             in_gen -= 1;
             gen_states += 1;
             result.states += 1;
-            if result.states >= self.config.max_states {
+            if result.states >= cfg.max_states {
                 result.truncated = true;
                 break;
             }
-            let actions = node.sys.enabled_actions(self.program, self.config.model);
-            if actions.is_empty() {
-                self.record_terminal(&node, &mut result);
-                if self.config.stop_at_first_violation && result.found_violation() {
+            if result.states % DEADLINE_POLL == 0 && deadline.is_some_and(|d| Instant::now() >= d) {
+                result.truncated = true;
+                result.out_of_time = true;
+                break;
+            }
+            // A violation is terminal: it enables no action.
+            if let Some(v) = store.violation(&row) {
+                result.push_violation(v.clone());
+                if cfg.stop_at_first_violation {
                     break;
                 }
                 continue;
             }
+            store.decode(&row, &mut sys);
+            let actions = sys.enabled_actions(self.program, cfg.model);
+            if actions.is_empty() {
+                if sys.all_done(self.program) {
+                    result.complete_terminals += 1;
+                    if cfg.track_matchings {
+                        result.matchings.insert(store.matching(&row));
+                    }
+                } else {
+                    result.deadlocks += 1;
+                }
+                continue;
+            }
+            let incoming = store.last(&row);
             for action in actions {
                 // BFS-safe canonical fragment: drop the successor when it
                 // swaps an adjacent independent pair out of thread-major
                 // order — the smaller-first ordering of the same pair
                 // reaches an equivalent node that stays in the frontier.
-                let last = if self.config.use_canonical {
-                    let summary = summarize(self.program, &node.sys, action);
-                    if let Some((b, sb)) = &node.last {
-                        if independent(self.config.model, &summary, sb) && action < *b {
+                let last = if cfg.use_canonical {
+                    let summary = summarize(self.program, &sys, action);
+                    if let Some((b, sb)) = incoming {
+                        if independent(cfg.model, &summary, &sb) && action < b {
                             result.canonical_skipped += 1;
                             continue;
                         }
@@ -185,45 +168,22 @@ impl<'a> GraphExplorer<'a> {
                 } else {
                     None
                 };
-                let next = node.successor(
-                    self.program,
-                    action,
-                    self.config.model,
-                    self.config.track_matchings,
-                    last,
-                );
-                if let Some(v) = &next.sys.violation {
-                    result.push_violation(v.clone());
-                    if self.config.stop_at_first_violation {
-                        result.transitions += 1;
+                sys.apply_mut(self.program, action, cfg.model);
+                let violation = store.successor(&row, &mut sys, action, last, &mut child);
+                result.transitions += 1;
+                if let Some(v) = violation {
+                    result.push_violation(v);
+                    if cfg.stop_at_first_violation {
                         return result;
                     }
                 }
-                result.transitions += 1;
-                if visited.insert(next.clone()) {
-                    queue.push_back(next);
-                }
+                store.insert(&child);
             }
         }
         gen_span
             .arg("generation", generation)
             .arg("states", gen_states);
         result
-    }
-
-    fn record_terminal(&self, node: &Node, result: &mut ExploreResult) {
-        if let Some(v) = &node.sys.violation {
-            result.push_violation(v.clone());
-            return;
-        }
-        if node.sys.all_done(self.program) {
-            result.complete_terminals += 1;
-            if self.config.track_matchings {
-                result.matchings.insert(node.matching.clone());
-            }
-        } else {
-            result.deadlocks += 1;
-        }
     }
 }
 
@@ -374,6 +334,23 @@ mod tests {
         };
         let r = GraphExplorer::new(&p, cfg).explore();
         assert!(r.truncated);
+    }
+
+    #[test]
+    fn time_budget_stops_at_the_first_deadline_poll() {
+        // branchy(3) has far more than 1,024 states; a spent budget stops
+        // the search at the first poll.
+        let p = workloads::branchy(3);
+        let cfg = ExploreConfig {
+            budget_ms: Some(0),
+            ..Default::default()
+        };
+        let r = GraphExplorer::new(&p, cfg).explore();
+        assert!(r.truncated && r.out_of_time);
+        assert_eq!(r.states, DEADLINE_POLL);
+        let unbounded = GraphExplorer::new(&p, ExploreConfig::default()).explore();
+        assert!(!unbounded.truncated && !unbounded.out_of_time);
+        assert!(unbounded.states > DEADLINE_POLL);
     }
 
     #[test]

@@ -13,11 +13,18 @@
 //!
 //! This crate provides faithful stand-ins for both, plus the ground truth:
 //!
-//! * [`explorer::GraphExplorer`] — breadth-first state-graph search with
-//!   hashing, parameterised by [`mcapi::types::DeliveryModel`]. With
+//! * [`explorer::GraphExplorer`] — breadth-first state-graph search,
+//!   parameterised by [`mcapi::types::DeliveryModel`]. With
 //!   `ZeroDelay` it *is* the MCC delivery model ([`mcc`]); with `Unordered`
 //!   it enumerates every behaviour the paper's encoding models
 //!   (the small-scope ground truth used to validate the symbolic crate).
+//!   Visited states live in an exact interned store: per-thread intern
+//!   tables and one for the in-flight messages, and one fixed-width row
+//!   of `u32` ids per state (thread entries, in-flight, `next_send_seq`,
+//!   violation, canonical stamp). Hashes only pick probe slots and every
+//!   hit is confirmed by full comparison — a collision that skipped a
+//!   state could yield a wrong SAFE, so there is no bitstate hashing or
+//!   hash compaction.
 //! * [`sleepset::SleepSetExplorer`] — stateless depth-first execution
 //!   enumeration with sleep-set pruning (Godefroid), the classic
 //!   partial-order-reduction baseline.
@@ -26,6 +33,7 @@ pub mod explorer;
 pub mod mcc;
 pub mod sleepset;
 pub mod stats;
+mod store;
 
 pub use explorer::{ExploreConfig, GraphExplorer};
 pub use mcc::{ground_truth_check, mcc_check};

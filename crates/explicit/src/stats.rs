@@ -30,8 +30,10 @@ pub struct ExploreResult {
     /// configuration asks for them (test instrumentation for the
     /// canonical ⊆ sleep-set-surviving composition property).
     pub schedules: BTreeSet<Vec<mcapi::state::Action>>,
-    /// Exploration stopped early (state or depth limit).
+    /// Exploration stopped early (state, depth or time limit).
     pub truncated: bool,
+    /// The stop was the time budget ([`crate::ExploreConfig::budget_ms`]).
+    pub out_of_time: bool,
 }
 
 impl ExploreResult {

@@ -226,154 +226,127 @@ impl SysState {
         model: DeliveryModel,
     ) -> (SysState, Vec<Event>) {
         let mut next = self.clone();
-        let mut events = Vec::with_capacity(1);
-        let tid = action.thread();
-        let pc = next.threads[tid].pc;
-        let instr = program.threads[tid].code[pc].clone();
+        let events = next.apply_mut(program, action, model).into_iter().collect();
+        (next, events)
+    }
 
-        match (&instr, action) {
+    /// Apply an action in place, returning its trace event (`None` only
+    /// for a jump). Changes only the stepping thread, plus `in_flight` for
+    /// a send or receive, `next_send_seq` for a send under
+    /// [`DeliveryModel::ZeroDelay`], and `violation` for a failed assertion.
+    ///
+    /// Panics if the action is not enabled (callers must draw actions from
+    /// [`SysState::enabled_actions`]).
+    pub fn apply_mut(
+        &mut self,
+        program: &Program,
+        action: Action,
+        model: DeliveryModel,
+    ) -> Option<Event> {
+        let tid = action.thread();
+        let pc = self.threads[tid].pc;
+        let mut next_pc = pc + 1;
+        let kind = match (&program.threads[tid].code[pc], action) {
             (Instr::Send { to, value }, Action::Internal { .. }) => {
-                let v = value.eval(&next.threads[tid].locals);
-                let msg = next.push_message(tid, *to, v, model);
-                events.push(Event {
-                    thread: tid,
-                    pc,
-                    kind: EventKind::Send {
-                        msg,
-                        to: *to,
-                        value: v,
-                    },
-                });
-                next.threads[tid].pc += 1;
+                let v = value.eval(&self.threads[tid].locals);
+                let msg = self.push_message(tid, *to, v, model);
+                Some(EventKind::Send {
+                    msg,
+                    to: *to,
+                    value: v,
+                })
             }
             (Instr::SendI { to, value, req }, Action::Internal { .. }) => {
-                let v = value.eval(&next.threads[tid].locals);
-                let msg = next.push_message(tid, *to, v, model);
-                next.threads[tid].reqs[req.0 as usize] = ReqState::SendDone;
-                events.push(Event {
-                    thread: tid,
-                    pc,
-                    kind: EventKind::Send {
-                        msg,
-                        to: *to,
-                        value: v,
-                    },
-                });
-                next.threads[tid].pc += 1;
+                let v = value.eval(&self.threads[tid].locals);
+                let msg = self.push_message(tid, *to, v, model);
+                self.threads[tid].reqs[req.0 as usize] = ReqState::SendDone;
+                Some(EventKind::Send {
+                    msg,
+                    to: *to,
+                    value: v,
+                })
             }
             (Instr::Recv { port, var }, Action::Receive { msg, .. }) => {
-                let value = next.take_message(msg);
-                next.threads[tid].locals[var.0 as usize] = value;
-                events.push(Event {
-                    thread: tid,
-                    pc,
-                    kind: EventKind::Recv {
-                        port: *port,
-                        var: *var,
-                        value,
-                        msg,
-                    },
-                });
-                next.threads[tid].pc += 1;
+                let value = self.take_message(msg);
+                self.threads[tid].locals[var.0 as usize] = value;
+                Some(EventKind::Recv {
+                    port: *port,
+                    var: *var,
+                    value,
+                    msg,
+                })
             }
             (Instr::RecvI { port, var, req }, Action::Internal { .. }) => {
-                next.threads[tid].reqs[req.0 as usize] = ReqState::RecvPending {
+                self.threads[tid].reqs[req.0 as usize] = ReqState::RecvPending {
                     port: *port,
                     var: *var,
                 };
-                events.push(Event {
-                    thread: tid,
-                    pc,
-                    kind: EventKind::RecvPost {
-                        port: *port,
-                        var: *var,
-                        req: *req,
-                    },
-                });
-                next.threads[tid].pc += 1;
+                Some(EventKind::RecvPost {
+                    port: *port,
+                    var: *var,
+                    req: *req,
+                })
             }
             (Instr::Wait { req }, Action::CompleteWait { msg, .. }) => {
-                let ReqState::RecvPending { port, var } = next.threads[tid].reqs[req.0 as usize]
+                let ReqState::RecvPending { port, var } = self.threads[tid].reqs[req.0 as usize]
                 else {
                     panic!("CompleteWait on a request that is not a pending receive");
                 };
-                let value = next.take_message(msg);
-                next.threads[tid].locals[var.0 as usize] = value;
-                next.threads[tid].reqs[req.0 as usize] = ReqState::RecvDone;
-                events.push(Event {
-                    thread: tid,
-                    pc,
-                    kind: EventKind::WaitRecv {
-                        req: *req,
-                        port,
-                        var,
-                        value,
-                        msg,
-                    },
-                });
-                next.threads[tid].pc += 1;
+                let value = self.take_message(msg);
+                self.threads[tid].locals[var.0 as usize] = value;
+                self.threads[tid].reqs[req.0 as usize] = ReqState::RecvDone;
+                Some(EventKind::WaitRecv {
+                    req: *req,
+                    port,
+                    var,
+                    value,
+                    msg,
+                })
             }
             (Instr::Wait { req }, Action::Internal { .. }) => {
-                events.push(Event {
-                    thread: tid,
-                    pc,
-                    kind: EventKind::WaitNoop { req: *req },
-                });
-                next.threads[tid].pc += 1;
+                Some(EventKind::WaitNoop { req: *req })
             }
             (Instr::Assign { var, expr }, Action::Internal { .. }) => {
-                let v = expr.eval(&next.threads[tid].locals);
-                next.threads[tid].locals[var.0 as usize] = v;
-                events.push(Event {
-                    thread: tid,
-                    pc,
-                    kind: EventKind::Assign {
-                        var: *var,
-                        value: v,
-                    },
-                });
-                next.threads[tid].pc += 1;
+                let v = expr.eval(&self.threads[tid].locals);
+                self.threads[tid].locals[var.0 as usize] = v;
+                Some(EventKind::Assign {
+                    var: *var,
+                    value: v,
+                })
             }
             (Instr::Assert { cond, message }, Action::Internal { .. }) => {
-                if cond.eval(&next.threads[tid].locals) {
-                    events.push(Event {
-                        thread: tid,
-                        pc,
-                        kind: EventKind::AssertOk,
-                    });
-                    next.threads[tid].pc += 1;
+                if cond.eval(&self.threads[tid].locals) {
+                    Some(EventKind::AssertOk)
                 } else {
-                    let violation = Violation {
+                    self.violation = Some(Violation {
                         thread: tid,
                         pc,
                         message: message.clone(),
-                    };
-                    events.push(Event {
-                        thread: tid,
-                        pc,
-                        kind: EventKind::AssertFail {
-                            message: message.clone(),
-                        },
                     });
-                    next.violation = Some(violation);
-                    next.threads[tid].pc += 1;
+                    Some(EventKind::AssertFail {
+                        message: message.clone(),
+                    })
                 }
             }
             (Instr::Branch { cond, else_target }, Action::Internal { .. }) => {
-                let taken = cond.eval(&next.threads[tid].locals);
-                events.push(Event {
-                    thread: tid,
-                    pc,
-                    kind: EventKind::Branch { taken },
-                });
-                next.threads[tid].pc = if taken { pc + 1 } else { *else_target };
+                let taken = cond.eval(&self.threads[tid].locals);
+                if !taken {
+                    next_pc = *else_target;
+                }
+                Some(EventKind::Branch { taken })
             }
             (Instr::Jump { target }, Action::Internal { .. }) => {
-                next.threads[tid].pc = *target;
+                next_pc = *target;
+                None
             }
             (i, a) => panic!("action {a:?} does not match instruction {i:?}"),
-        }
-        (next, events)
+        };
+        self.threads[tid].pc = next_pc;
+        kind.map(|kind| Event {
+            thread: tid,
+            pc,
+            kind,
+        })
     }
 
     /// Insert a message in flight (keeping the vector sorted by id).

@@ -156,7 +156,7 @@ impl PhaseTimings {
         );
         reg.counter_add(
             "mcapi_symbolic_enumerate_us_total",
-            "Wall-clock µs spent enumerating and pruning paths",
+            "Wall-clock µs spent in static control-flow path enumeration",
             labels,
             self.enumerate_us,
         );
@@ -283,7 +283,7 @@ pub fn record_check_counters(
     );
     reg.counter_add(
         "mcapi_symbolic_paths_pruned_total",
-        "Control-flow paths proven unreachable and skipped",
+        "Control-flow paths skipped unsearched (always 0: no engine skips a path)",
         labels,
         paths_pruned,
     );

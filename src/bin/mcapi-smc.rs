@@ -43,7 +43,7 @@
 //! Portfolio options: `--threads N` (≥ 1, default: all cores), `--scale K`
 //! (grid size per family, ≥ 1, default 2), `--families a,b,c` (default: all),
 //! `--corpus DIR` (also cross every `.mcapi` file in DIR), `--delivery
-//! MODEL` (default: all three), `--budget-ms MS` (per-scenario solver
+//! MODEL` (default: all three), `--budget-ms MS` (per-scenario wall-clock
 //! budget), `--max-paths N` (per-scenario path budget for the
 //! `symbolic-paths` engine), `--json PATH` (`-` for stdout; suppresses the
 //! table), `--metrics-out PATH` (Prometheus text exposition of the run's
@@ -856,12 +856,6 @@ fn check(args: &[String], program: &Program, delivery: DeliveryModel) -> Result<
         );
     }
     let outputs = output_flags(args)?;
-    if has("--budget-ms") && engine == Engine::Explicit {
-        eprintln!(
-            "note: --budget-ms bounds the symbolic solve/refine loop; \
-             the explicit engine is bounded by state count and ignores it"
-        );
-    }
     let tracer = outputs.trace_out.as_ref().map(|_| trace::Tracer::new());
     let start = std::time::Instant::now();
     let (scenario, run) = {

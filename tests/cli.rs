@@ -143,6 +143,36 @@ fn loop_storm_corpus_file_degrades_to_unknown() {
     );
 }
 
+/// The explicit engine honours `--budget-ms`: loop-storm's search is cut
+/// by the clock, long before its 1,000,000-state cap, and the verdict is
+/// UNKNOWN (exit 3) naming the time budget.
+#[test]
+fn explicit_engine_stops_at_time_budget() {
+    let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus/loop-storm.mcapi");
+    let out = bin()
+        .args([
+            "check",
+            corpus.to_str().unwrap(),
+            "--engine",
+            "explicit",
+            "--budget-ms",
+            "200",
+        ])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(3), "{stdout}");
+    assert!(!stderr.contains("ignores"), "{stderr}");
+    let states: usize = stdout
+        .split("explicit: time budget exhausted after ")
+        .nth(1)
+        .and_then(|rest| rest.split(" states").next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no time-budget reason in {stdout}"));
+    assert!(states < 1_000_000, "{stdout}");
+}
+
 /// `corpus/delay-gap1-zero.mcapi` with its `// delivery: zero-delay`
 /// header misspelt: dropping the header would check it under unordered
 /// delivery and report a VIOLATION the intended model does not have.
