@@ -55,6 +55,7 @@ pub mod program;
 pub mod runtime;
 pub mod sched;
 pub mod state;
+pub mod store;
 pub mod trace;
 pub mod types;
 

@@ -41,10 +41,8 @@ pub fn execute(
             break;
         };
         let action = enabled[i];
-        let (next, ev) = state.apply(program, action, model);
-        events.extend(ev);
+        events.extend(state.apply_mut(program, action, model));
         actions.push(action);
-        state = next;
     }
     let complete = state.all_done(program);
     let violation = state.violation.clone();

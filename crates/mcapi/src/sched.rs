@@ -13,11 +13,11 @@
 use crate::program::{Instr, Program, Thread};
 use crate::runtime::{replay, ExecOutcome};
 use crate::state::{Action, SysState};
+use crate::store::{Rows, StateSlots};
 use crate::trace::EventKind;
 use crate::types::DeliveryModel;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
 use std::time::Instant;
 
 /// A scheduling policy. `choose` returns the index of the selected action,
@@ -263,7 +263,7 @@ impl Default for DirectedConfig {
 /// `schedules_canonical_skipped` observability surface and the perf gate.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DirectedStats {
-    /// Distinct `(state, branch-index, depth)` nodes visited.
+    /// Distinct `(state, depth)` nodes visited.
     pub states: usize,
     /// Schedule transitions executed (`apply` calls) — the search's real
     /// work measure. The canonical prune rejects extensions *before*
@@ -299,14 +299,21 @@ struct DirectedSearch<'a> {
     program: &'a Program,
     model: DeliveryModel,
     plan: &'a BranchPlan,
-    /// Visited key: `(state, branch indices, schedule depth)`. The depth
-    /// component is 0 in non-canonical mode (pure state caching). In
-    /// canonical mode it keeps prefixes of different lengths from
-    /// colliding, which together with the ascending child order makes the
-    /// cache sound under normal-form pruning: within one depth, the first
-    /// arrival at a node is via the lex-least canonical prefix, and every
-    /// canonical completion extends that prefix.
-    visited: HashSet<(SysState, Vec<u16>, usize)>,
+    /// Visited rows: the state's [`StateSlots`], `next_send_seq` and the
+    /// schedule depth. The depth is 0 in non-canonical mode
+    /// (pure state caching). In canonical mode it keeps prefixes of
+    /// different lengths from colliding, which together with the
+    /// ascending child order makes the cache sound under normal-form
+    /// pruning: within one depth, the first arrival at a node is via the
+    /// lex-least canonical prefix, and every canonical completion extends
+    /// that prefix. The code is loop-free, so a plan fixes each thread's
+    /// path and its branch index is a function of its pc: no column.
+    slots: StateSlots,
+    rows: Rows,
+    /// The row of the node [`DirectedSearch::dfs`] enters next.
+    child: Vec<u32>,
+    /// Per thread, how many of its prescribed branch outcomes it has met.
+    bidx: Vec<u16>,
     cfg: DirectedConfig,
     canon: crate::canon::CanonTracker,
     canonical_skipped: u64,
@@ -322,41 +329,61 @@ enum Found {
 }
 
 impl DirectedSearch<'_> {
+    /// Fill the key columns of `child` after its slots for `sys` at
+    /// schedule depth `depth`.
+    fn finish_key(&mut self, sys: &SysState, depth: usize) {
+        let w = self.slots.width();
+        self.child.truncate(w);
+        self.child.push(sys.next_send_seq);
+        self.child
+            .push(if self.cfg.canonical { depth as u32 } else { 0 });
+    }
+
+    /// Restore `sys` to row `id` after thread `t` stepped from it.
+    fn restore(&self, id: u32, t: usize, sys: &mut SysState) {
+        let parent = self.rows.get(id);
+        self.slots.restore(parent, t, sys);
+        sys.next_send_seq = parent[self.slots.width()];
+    }
+
+    /// Enter the node whose row is `self.child` and whose state is `sys`;
+    /// `sys` is back at that state when this returns `None`.
     fn dfs(
         &mut self,
-        state: &SysState,
-        bidx: &mut Vec<u16>,
+        sys: &mut SysState,
         matched: usize,
         actions: &mut Vec<Action>,
     ) -> Option<Found> {
         if self.exhausted {
             return None;
         }
-        let depth = if self.cfg.canonical { actions.len() } else { 0 };
-        if !self.visited.insert((state.clone(), bidx.clone(), depth)) {
+        let (id, fresh) = self.rows.insert(&self.child);
+        if !fresh {
             return None;
         }
-        if self.visited.len() > self.cfg.max_states
-            || (self.visited.len().is_multiple_of(256)
+        let states = self.rows.len();
+        if states > self.cfg.max_states
+            || (states.is_multiple_of(256)
                 && self.cfg.deadline.is_some_and(|d| Instant::now() >= d))
         {
             self.exhausted = true;
             return None;
         }
         self.matched_best = self.matched_best.max(matched);
-        let enabled = state.enabled_actions(self.program, self.model);
+        let enabled = sys.enabled_actions(self.program, self.model);
         if enabled.is_empty() {
-            if state.all_done(self.program) {
+            if sys.all_done(self.program) {
                 // A complete execution realises the plan only if every
                 // prescribed branch was actually executed.
-                let full = bidx
+                let full = self
+                    .bidx
                     .iter()
                     .zip(&self.plan.outcomes)
                     .all(|(&i, v)| i as usize == v.len());
                 if full {
                     return Some(Found::Complete(actions.clone()));
                 }
-            } else if state.violation.is_none() {
+            } else if sys.violation.is_none() {
                 // Deadlock on a plan-compliant prefix: keep the deepest.
                 if self
                     .best_deadlock
@@ -375,7 +402,7 @@ impl DirectedSearch<'_> {
             // Canonical prune first: it needs no successor state, only the
             // action's footprint at the current state.
             let summary = if self.cfg.canonical {
-                let s = crate::canon::summarize(self.program, state, action);
+                let s = crate::canon::summarize(self.program, sys, action);
                 if !self.canon.is_canonical_extension(action, &s) {
                     self.canonical_skipped += 1;
                     continue;
@@ -389,31 +416,24 @@ impl DirectedSearch<'_> {
                 self.exhausted = true;
                 return None;
             }
-            let (next, events) = state.apply(self.program, action, self.model);
+            let t = action.thread();
+            let event = sys.apply_mut(self.program, action, self.model);
             // Plan compliance: a branch event must follow the prescription.
             let mut matched_here = matched;
-            let mut complies = true;
-            if let Some(ev) = events.first() {
-                if let EventKind::Branch { taken } = ev.kind {
-                    let t = ev.thread;
-                    let i = bidx[t] as usize;
-                    match self.plan.outcomes[t].get(i) {
-                        Some(&want) if want == taken => {
-                            matched_here += 1;
-                        }
-                        _ => complies = false,
-                    }
-                    if complies {
-                        bidx[t] += 1;
-                    }
+            let mut stepped_branch = false;
+            if let Some(EventKind::Branch { taken }) = event.map(|ev| ev.kind) {
+                let i = self.bidx[t] as usize;
+                if self.plan.outcomes[t].get(i) != Some(&taken) {
+                    self.matched_best = self.matched_best.max(matched);
+                    self.restore(id, t, sys);
+                    continue;
                 }
-            }
-            if !complies {
-                self.matched_best = self.matched_best.max(matched);
-                continue;
+                matched_here += 1;
+                self.bidx[t] += 1;
+                stepped_branch = true;
             }
             actions.push(action);
-            let found = if next.violation.is_some() {
+            let found = if sys.violation.is_some() {
                 // Violations are terminal in the semantics; a compliant
                 // prefix reaching one is a concrete counterexample.
                 Some(Found::Violation(actions.clone()))
@@ -421,25 +441,24 @@ impl DirectedSearch<'_> {
                 if let Some(s) = summary {
                     self.canon.push(action, s);
                 }
-                let f = self.dfs(&next, bidx, matched_here, actions);
+                self.child.clear();
+                self.child.extend_from_slice(self.rows.get(id));
+                self.slots.step(&mut self.child, t, sys);
+                self.finish_key(sys, actions.len());
+                let f = self.dfs(sys, matched_here, actions);
                 if summary.is_some() {
                     self.canon.pop();
                 }
                 f
             };
             actions.pop();
-            if let Some(ev) = events.first() {
-                if let EventKind::Branch { taken } = ev.kind {
-                    let t = ev.thread;
-                    let i = (bidx[t] as usize).wrapping_sub(1);
-                    if self.plan.outcomes[t].get(i) == Some(&taken) {
-                        bidx[t] -= 1;
-                    }
-                }
-            }
             if found.is_some() {
                 return found;
             }
+            if stepped_branch {
+                self.bidx[t] -= 1;
+            }
+            self.restore(id, t, sys);
         }
         None
     }
@@ -449,6 +468,10 @@ impl DirectedSearch<'_> {
 /// exactly, exploring schedules depth-first under `model`. See
 /// [`DirectedOutcome`] for the possible results; the search is exhaustive
 /// (up to the budget), so [`DirectedOutcome::Infeasible`] is definitive.
+///
+/// The program's code must be loop-free, as [`program_paths`] requires:
+/// every jump and branch target lies ahead of its instruction. Panics
+/// otherwise.
 pub fn execute_directed(
     program: &Program,
     model: DeliveryModel,
@@ -470,11 +493,26 @@ pub fn execute_directed_with_stats(
         program.threads.len(),
         "plan must prescribe one outcome vector per thread"
     );
+    let loop_free = program.threads.iter().all(|t| {
+        t.code.iter().enumerate().all(|(pc, instr)| match *instr {
+            Instr::Branch { else_target, .. } => else_target > pc,
+            Instr::Jump { target } => target > pc,
+            _ => true,
+        })
+    });
+    assert!(loop_free, "directed search needs loop-free code");
+    let mut sys = SysState::initial(program);
+    let mut child = Vec::new();
+    let slots = StateSlots::new(&sys, &mut child);
+    let rows = Rows::new(slots.width() + 2);
     let mut search = DirectedSearch {
         program,
         model,
         plan,
-        visited: HashSet::new(),
+        slots,
+        rows,
+        child,
+        bidx: vec![0; program.threads.len()],
         cfg,
         canon: crate::canon::CanonTracker::new(model),
         canonical_skipped: 0,
@@ -483,12 +521,10 @@ pub fn execute_directed_with_stats(
         matched_best: 0,
         best_deadlock: None,
     };
-    let init = SysState::initial(program);
-    let mut bidx = vec![0u16; program.threads.len()];
-    let mut actions = Vec::new();
-    let found = search.dfs(&init, &mut bidx, 0, &mut actions);
+    search.finish_key(&sys, 0);
+    let found = search.dfs(&mut sys, 0, &mut Vec::new());
     let stats = DirectedStats {
-        states: search.visited.len(),
+        states: search.rows.len(),
         transitions: search.transitions,
         canonical_skipped: search.canonical_skipped,
     };
@@ -499,7 +535,7 @@ pub fn execute_directed_with_stats(
         Some(Found::Violation(script)) => DirectedOutcome::Violating(rerun(&script)),
         Some(Found::Complete(script)) => DirectedOutcome::Realized(rerun(&script)),
         None if search.exhausted => DirectedOutcome::Exhausted {
-            states: search.visited.len(),
+            states: search.rows.len(),
         },
         None => match search.best_deadlock {
             Some(script) => DirectedOutcome::Deadlocked(rerun(&script)),

@@ -48,13 +48,33 @@ pub enum ReqState {
 }
 
 /// Per-thread state.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 pub struct ThreadState {
     pub pc: usize,
     pub locals: Vec<Value>,
     pub reqs: Vec<ReqState>,
     /// Number of sends this thread has issued (for canonical [`MsgId`]s).
     pub sends_issued: u16,
+}
+
+impl Clone for ThreadState {
+    fn clone(&self) -> Self {
+        ThreadState {
+            pc: self.pc,
+            locals: self.locals.clone(),
+            reqs: self.reqs.clone(),
+            sends_issued: self.sends_issued,
+        }
+    }
+
+    /// Reuses `self`'s buffers (derived `Clone` does not), which the
+    /// searches that restore states in place rely on.
+    fn clone_from(&mut self, src: &Self) {
+        self.pc = src.pc;
+        self.locals.clone_from(&src.locals);
+        self.reqs.clone_from(&src.reqs);
+        self.sends_issued = src.sends_issued;
+    }
 }
 
 /// A schedulable step.

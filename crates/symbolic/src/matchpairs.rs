@@ -18,11 +18,12 @@
 //!   spurious pairs; the checker's validate-and-refine loop (see
 //!   [`crate::checker`]) restores exactness.
 
-use mcapi::program::{Op, Program, Thread};
-use mcapi::state::SysState;
+use mcapi::program::{Instr, Op, Program, Thread};
+use mcapi::state::{InFlight, SysState};
+use mcapi::store::{Rows, StateSlots};
 use mcapi::trace::{EventKind, Trace};
 use mcapi::types::{DeliveryModel, EndpointAddr, MsgId, RecvKey, ReqId, VarId};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
 /// The `MatchPairs` set and `getSends` map of the paper (Fig. 2), plus
@@ -131,8 +132,9 @@ pub fn trace_skeleton(program: &Program, trace: &Trace) -> Program {
 
 /// Precise match pairs by exhaustive depth-first abstract execution of the
 /// trace skeleton (the paper's Section 3 method), on the skeleton state that
-/// can change what happens next (see `future_key`). Still exponential in the
-/// worst case: in the subsets of messages that can be in flight together.
+/// can change what happens next (see `precise_match_pairs_until`). Still
+/// exponential in the worst case: in the subsets of messages that can be in
+/// flight together.
 pub fn precise_match_pairs(program: &Program, trace: &Trace, model: DeliveryModel) -> MatchPairs {
     precise_match_pairs_until(program, trace, model, None)
 }
@@ -141,6 +143,19 @@ pub fn precise_match_pairs(program: &Program, trace: &Trace, model: DeliveryMode
 /// Once it has passed, the trace's [`overapprox_match_pairs`] stand in
 /// (sound: the checker replays every model), with `states_explored`
 /// counting the states visited so far.
+///
+/// The search keeps only the skeleton state that can change which actions
+/// are enabled later, as rows of the exact interned store
+/// ([`mcapi::store`]): the pcs and the in-flight messages. A skeleton
+/// thread is straight-line code with constant payloads, so its pc fixes
+/// its requests, sends issued and receive count, and nothing reads its
+/// locals, which are kept at 0. A message's value is fixed by its id.
+/// Under zero delay a receive takes the oldest message to its endpoint and
+/// every later send is younger than all in flight, so only the send order
+/// *within each destination* matters: each `send_seq` is renumbered to its
+/// rank among the in-flight messages to the same endpoint. Under the other
+/// models every `send_seq` is 0. One state is stepped in place and
+/// restored from its row's entries after each successor.
 pub(crate) fn precise_match_pairs_until(
     program: &Program,
     trace: &Trace,
@@ -152,15 +167,29 @@ pub(crate) fn precise_match_pairs_until(
         generator: "precise-dfs",
         ..Default::default()
     };
-    let mut visited = HashSet::new();
-    let mut stack = vec![(
-        SysState::initial(&skeleton),
-        vec![0u16; skeleton.threads.len()],
-    )];
-    while let Some((state, recv_counts)) = stack.pop() {
-        if !visited.insert(future_key(&state)) {
-            continue;
-        }
+    // Receives each thread has completed on reaching each pc.
+    let recv_index: Vec<Vec<usize>> = skeleton
+        .threads
+        .iter()
+        .map(|th| {
+            let mut done = 0;
+            th.code
+                .iter()
+                .map(|instr| {
+                    let here = done;
+                    done += matches!(instr, Instr::Recv { .. } | Instr::Wait { .. }) as usize;
+                    here
+                })
+                .collect()
+        })
+        .collect();
+    let mut sys = SysState::initial(&skeleton);
+    let mut row = Vec::new();
+    let mut slots = StateSlots::new(&sys, &mut row);
+    let mut rows = Rows::new(slots.width());
+    let mut ranks = Vec::new();
+    let mut stack = vec![rows.insert(&row).0];
+    while let Some(id) = stack.pop() {
         if pairs.states_explored.is_multiple_of(1024)
             && deadline.is_some_and(|d| Instant::now() >= d)
         {
@@ -170,32 +199,48 @@ pub(crate) fn precise_match_pairs_until(
             };
         }
         pairs.states_explored += 1;
-        for action in state.enabled_actions(&skeleton, model) {
-            let mut counts = recv_counts.clone();
+        slots.decode(rows.get(id), &mut sys);
+        for action in sys.enabled_actions(&skeleton, model) {
+            let t = action.thread();
             if let Some(msg) = action.message() {
-                let t = action.thread();
-                let key = RecvKey::new(t, counts[t] as usize);
-                counts[t] += 1;
+                let key = RecvKey::new(t, recv_index[t][sys.threads[t].pc]);
                 pairs.sends_for.entry(key).or_default().insert(msg);
             }
-            stack.push((state.apply(&skeleton, action, model).0, counts));
+            let in_flight = sys.in_flight.len();
+            // Ranks are at most the in-flight count, so a send gets a
+            // younger `send_seq` than every message in flight.
+            sys.next_send_seq = in_flight as u32 + 1;
+            sys.apply_mut(&skeleton, action, model);
+            sys.threads[t].locals.fill(0);
+            if model == DeliveryModel::ZeroDelay && sys.in_flight.len() != in_flight {
+                rank_per_destination(&mut sys.in_flight, &mut ranks);
+            }
+            row.clear();
+            row.extend_from_slice(rows.get(id));
+            slots.step(&mut row, t, &sys);
+            let (child, fresh) = rows.insert(&row);
+            if fresh {
+                stack.push(child);
+            }
+            slots.restore(rows.get(id), t, &mut sys);
         }
     }
     pairs
 }
 
-/// The part of a skeleton state that can change which actions are enabled
-/// later. A skeleton thread is straight-line code with constant payloads,
-/// so its pc fixes its requests, sends issued and receive count, and
-/// nothing reads its locals. A message's value is fixed by its id, and of
-/// the send sequence numbers only their order matters (zero-delay takes the
-/// oldest per destination). So the key is the pcs and the in-flight ids in
-/// send order, which is id order when every `send_seq` is 0.
-fn future_key(state: &SysState) -> (Vec<usize>, Vec<MsgId>) {
-    let mut flight = state.in_flight.clone();
-    flight.sort_by_key(|m| m.send_seq); // stable: keeps id order on ties
-    let pcs = state.threads.iter().map(|t| t.pc).collect();
-    (pcs, flight.iter().map(|m| m.id).collect())
+/// Renumber each message's `send_seq` to 1 + the number of in-flight
+/// messages to the same endpoint sent before it. `ranks` is scratch.
+fn rank_per_destination(flight: &mut [InFlight], ranks: &mut Vec<u32>) {
+    ranks.clear();
+    ranks.extend(flight.iter().map(|m| {
+        1 + flight
+            .iter()
+            .filter(|o| o.to == m.to && o.send_seq < m.send_seq)
+            .count() as u32
+    }));
+    for (m, &rank) in flight.iter_mut().zip(ranks.iter()) {
+        m.send_seq = rank;
+    }
 }
 
 /// Over-approximate match pairs: every send whose destination is the
