@@ -1,6 +1,8 @@
-//! Experiment harness crate: the per-figure experiment binaries live in
-//! `src/bin/` (`exp_*`); this library holds the markdown-table helpers
-//! they share. Run one with
+//! Experiment harness crate. Its three binaries live in `src/bin/`:
+//! `exp_fig1` (the paper's Fig. 1 program, trace and SMT problem),
+//! `exp_summary` (the reproduction report: F4 and E1–E5) and
+//! `exp_portfolio` (the pinned-grid counter and tracing gates). This
+//! library holds the markdown-table helpers they share. Run one with
 //! `cargo run --release -p bench --bin <name>`.
 
 /// Format a markdown table row.

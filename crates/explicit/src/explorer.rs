@@ -218,7 +218,7 @@ mod tests {
         assert_eq!(r.deadlocks, 0);
         assert!(r.violations.is_empty());
         // Fig. 4 of the paper: exactly two complete pairings.
-        assert_eq!(r.matchings.len(), 2, "{}", r.render_matchings());
+        assert_eq!(r.matchings.len(), 2, "{:?}", r.matchings);
     }
 
     #[test]
@@ -227,7 +227,7 @@ mod tests {
         let r =
             GraphExplorer::new(&p, ExploreConfig::with_model(DeliveryModel::ZeroDelay)).explore();
         // The MCC model misses Fig. 4b.
-        assert_eq!(r.matchings.len(), 1, "{}", r.render_matchings());
+        assert_eq!(r.matchings.len(), 1, "{:?}", r.matchings);
     }
 
     #[test]
@@ -237,7 +237,7 @@ mod tests {
         let p = fig1();
         let r = GraphExplorer::new(&p, ExploreConfig::with_model(DeliveryModel::PairwiseFifo))
             .explore();
-        assert_eq!(r.matchings.len(), 2, "{}", r.render_matchings());
+        assert_eq!(r.matchings.len(), 2, "{:?}", r.matchings);
     }
 
     #[test]
@@ -305,7 +305,6 @@ mod tests {
 
     #[test]
     fn race_assert_violation_found_by_every_search() {
-        use crate::sleepset::{SleepConfig, SleepSetExplorer};
         for n in [3, 5] {
             let p = workloads::race_with_winner_assert(n);
             let full = GraphExplorer::new(&p, ExploreConfig::with_model(DeliveryModel::Unordered))
@@ -320,8 +319,6 @@ mod tests {
                 GraphExplorer::new(&p, first).explore().found_violation(),
                 "first violation, n = {n}"
             );
-            let sleep = SleepSetExplorer::new(&p, SleepConfig::default()).explore();
-            assert!(sleep.found_violation(), "sleep sets, n = {n}");
         }
     }
 

@@ -1,4 +1,4 @@
-//! # explicit — explicit-state baselines for the PPoPP'11 comparison
+//! # explicit — the explicit-state baseline for the PPoPP'11 comparison
 //!
 //! The paper positions its SMT encoding against two prior tools:
 //!
@@ -11,7 +11,8 @@
 //!   (Flanagan & Godefroid's DPOR line of work), the baseline Fusion was
 //!   compared against.
 //!
-//! This crate provides faithful stand-ins for both, plus the ground truth:
+//! This crate ships one explorer, which serves as the MCC stand-in and as
+//! the ground truth:
 //!
 //! * [`explorer::GraphExplorer`] — breadth-first state-graph search,
 //!   parameterised by [`mcapi::types::DeliveryModel`]. With
@@ -26,17 +27,16 @@
 //!   stamp). Hashes only pick probe slots and every hit is confirmed by
 //!   full comparison — a collision that skipped a state could yield a
 //!   wrong SAFE, so there is no bitstate hashing or hash compaction.
-//! * [`sleepset::SleepSetExplorer`] — stateless depth-first execution
-//!   enumeration with sleep-set pruning (Godefroid), the classic
-//!   partial-order-reduction baseline.
+//!
+//! The Inspect-style stateless search with sleep sets (Godefroid) is kept
+//! in this crate's test tree (`tests/common/sleepset.rs`) as an
+//! independent reference the graph search is compared against.
 
 pub mod explorer;
 pub mod mcc;
-pub mod sleepset;
 pub mod stats;
 mod store;
 
 pub use explorer::{ExploreConfig, GraphExplorer};
 pub use mcc::{ground_truth_check, mcc_check};
-pub use sleepset::SleepSetExplorer;
 pub use stats::{ExploreResult, Matching, RecvKey};

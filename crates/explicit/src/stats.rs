@@ -1,4 +1,4 @@
-//! Result records shared by all explorers.
+//! The exploration result record and its metric names.
 
 use mcapi::trace::Violation;
 
@@ -10,8 +10,7 @@ pub use mcapi::types::{Matching, RecvKey};
 /// Aggregate exploration outcome.
 #[derive(Clone, Debug, Default)]
 pub struct ExploreResult {
-    /// Distinct states visited (graph search) or prefixes executed
-    /// (stateless search).
+    /// Distinct states visited.
     pub states: usize,
     /// Transitions applied.
     pub transitions: usize,
@@ -26,10 +25,6 @@ pub struct ExploreResult {
     /// Schedule extensions pruned by the Mazurkiewicz normal-form test
     /// (zero unless canonical pruning is enabled; see [`mcapi::canon`]).
     pub canonical_skipped: u64,
-    /// Complete-execution schedule words, recorded only when the
-    /// configuration asks for them (test instrumentation for the
-    /// canonical ⊆ sleep-set-surviving composition property).
-    pub schedules: BTreeSet<Vec<mcapi::state::Action>>,
     /// Exploration stopped early (state, depth or time limit).
     pub truncated: bool,
     /// The stop was the time budget ([`crate::ExploreConfig::budget_ms`]).
@@ -47,23 +42,6 @@ impl ExploreResult {
         if !self.violations.contains(&v) {
             self.violations.push(v);
         }
-    }
-
-    /// Render the matchings compactly (for experiment tables).
-    pub fn render_matchings(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        for m in &self.matchings {
-            let _ = write!(out, "{{");
-            for (i, (r, s)) in m.iter().enumerate() {
-                if i > 0 {
-                    let _ = write!(out, ", ");
-                }
-                let _ = write!(out, "t{}.r{} <- {:?}", r.thread, r.index, s);
-            }
-            let _ = writeln!(out, "}}");
-        }
-        out
     }
 }
 
@@ -100,7 +78,6 @@ pub fn record_exploration_counters(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcapi::types::MsgId;
 
     #[test]
     fn recv_key_ordering_is_thread_major() {
@@ -122,15 +99,5 @@ mod tests {
         r.push_violation(v);
         assert_eq!(r.violations.len(), 1);
         assert!(r.found_violation());
-    }
-
-    #[test]
-    fn render_matchings_mentions_pairs() {
-        let mut r = ExploreResult::default();
-        r.matchings
-            .insert(vec![(RecvKey::new(0, 0), MsgId::new(2, 0))]);
-        let s = r.render_matchings();
-        assert!(s.contains("t0.r0"), "{s}");
-        assert!(s.contains("m2.0"), "{s}");
     }
 }

@@ -1,8 +1,10 @@
-//! Property tests: all explorers agree with each other on random
-//! programs — the graph search is the reference.
+//! Property tests: the graph search agrees with the sleep-set reference
+//! explorer (`common/sleepset.rs`) on random programs.
 
-use explicit::sleepset::SleepConfig;
-use explicit::{ExploreConfig, GraphExplorer, SleepSetExplorer};
+mod common;
+
+use common::sleepset::{SleepConfig, SleepSetExplorer};
+use explicit::{ExploreConfig, GraphExplorer};
 use mcapi::builder::ProgramBuilder;
 use mcapi::program::Program;
 use mcapi::types::DeliveryModel;

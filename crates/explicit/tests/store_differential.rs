@@ -141,7 +141,6 @@ fn assert_same(program: &Program, cfg: ExploreConfig, what: &str) -> ExploreResu
             r.canonical_skipped,
             r.truncated,
             r.out_of_time,
-            r.schedules.clone(),
         )
     };
     assert_eq!(fields(&got), fields(&want), "{what}: {cfg:?}");

@@ -11,8 +11,8 @@
 //! * [`symbolic`] — the paper's contribution: trace → match pairs →
 //!   `POrder ∧ PMatchPairs ∧ PUnique ∧ ¬PProp ∧ PEvents` → witness, plus
 //!   the branch-complete path-exploration layer (`symbolic::paths`);
-//! * [`explicit`] — MCC-style, ground-truth and sleep-set explicit-state
-//!   baselines;
+//! * [`explicit`] — the explicit-state baseline: one graph explorer that
+//!   serves as the MCC stand-in and as the ground truth;
 //! * [`workloads`] — parameterised program families for tests and benches.
 //!
 //! See the `examples/` directory for runnable walk-throughs, starting with

@@ -109,14 +109,16 @@ fn ring_matchings_agree_deterministic() {
 #[test]
 fn pipeline_verdicts_agree() {
     // Race-free under pairwise FIFO, violable under unordered.
-    let p = pipeline(3, 2);
-    assert_verdicts_agree(&p, DeliveryModel::PairwiseFifo);
-    assert_verdicts_agree(&p, DeliveryModel::Unordered);
+    for items in [2, 3] {
+        let p = pipeline(3, items);
+        assert_verdicts_agree(&p, DeliveryModel::PairwiseFifo);
+        assert_verdicts_agree(&p, DeliveryModel::Unordered);
+    }
 }
 
 #[test]
 fn race_assert_verdicts_agree() {
-    for n in 2..=3 {
+    for n in 2..=6 {
         let p = race_with_winner_assert(n);
         for model in DeliveryModel::ALL {
             assert_verdicts_agree(&p, model);

@@ -6,8 +6,8 @@ use mcapi::types::DeliveryModel;
 use symbolic::checker::{
     check_program, enumerate_matchings, generate_trace, CheckConfig, MatchGen, Verdict,
 };
-use workloads::race::{delay_gap, race};
-use workloads::{fig1, pipeline, ring};
+use workloads::race::{delay_gap, race, race_with_winner_assert};
+use workloads::{fig1, fig1_with_assert, pipeline, ring};
 
 fn behaviours(
     p: &mcapi::Program,
@@ -82,6 +82,38 @@ fn fifo_matters_only_for_same_source_streams() {
         behaviours(&f, DeliveryModel::PairwiseFifo),
         behaviours(&f, DeliveryModel::Unordered)
     );
+}
+
+#[test]
+fn behaviours_and_verdicts_per_model_are_pinned() {
+    // The E1 table: per delivery model (unordered, pairwise FIFO, zero
+    // delay), the explicit behaviour count and the violation verdict, which
+    // the explicit search and the over-approximate symbolic check share.
+    let table = [
+        (fig1_with_assert(), [1, 1, 1], [true, true, false]),
+        (race_with_winner_assert(2), [1, 1, 1], [true, true, true]),
+        (race_with_winner_assert(3), [2, 2, 2], [true, true, true]),
+        (delay_gap(1), [1, 1, 1], [true, true, false]),
+        (delay_gap(2), [1, 1, 1], [true, true, false]),
+        (pipeline(3, 2), [2, 1, 1], [true, false, false]),
+    ];
+    for (p, counts, violations) in &table {
+        for (i, model) in DeliveryModel::ALL.into_iter().enumerate() {
+            let truth = GraphExplorer::new(p, ExploreConfig::with_model(model)).explore();
+            let cfg = CheckConfig {
+                delivery: model,
+                matchgen: MatchGen::OverApprox,
+                ..CheckConfig::default()
+            };
+            let symbolic = matches!(check_program(p, &cfg).verdict, Verdict::Violation(_));
+            assert_eq!(
+                (truth.matchings.len(), truth.found_violation(), symbolic),
+                (counts[i], violations[i], violations[i]),
+                "{} [{model}]",
+                p.name
+            );
+        }
+    }
 }
 
 #[test]

@@ -19,8 +19,8 @@ use symbolic::matchpairs::{
 };
 use workloads::race::{delay_gap, race_with_winner_assert};
 use workloads::{
-    branchy, default_grid, fig1, pipeline, race, random_loop_program, random_program, scatter,
-    RandomProgramConfig,
+    branchy, default_grid, fig1, fig1_with_assert, pipeline, race, random_loop_program,
+    random_program, scatter, RandomProgramConfig,
 };
 
 fn verdict_name(v: &Verdict) -> &'static str {
@@ -35,13 +35,17 @@ fn verdict_name(v: &Verdict) -> &'static str {
 fn precise_and_overapprox_verdicts_always_agree() {
     let programs = vec![
         fig1(),
+        fig1_with_assert(),
         race(3),
         race_with_winner_assert(2),
         race_with_winner_assert(3),
+        race_with_winner_assert(4),
         delay_gap(1),
         delay_gap(2),
         pipeline(3, 2),
+        pipeline(3, 3),
         scatter(2),
+        scatter(3),
     ];
     for p in &programs {
         for model in DeliveryModel::ALL {
@@ -89,6 +93,36 @@ fn overapprox_is_superset_and_cheaper() {
         assert!(
             over.states_explored <= precise.states_explored,
             "{}: over-approximation must not cost more",
+            p.name
+        );
+    }
+}
+
+#[test]
+fn precise_state_counts_on_race_and_scatter_are_pinned() {
+    // The E2 table without timings: precise DFS states and pairs, and the
+    // over-approximation's pairs, which add no spurious pair on these
+    // fully racy endpoints.
+    let mut table: Vec<(Program, usize, usize)> = (2..=7)
+        .map(|n| (race(n), 3usize.pow(n as u32), n * n))
+        .collect();
+    table.extend([
+        (scatter(2), 22, 6),
+        (scatter(3), 80, 12),
+        (scatter(4), 300, 20),
+    ]);
+    for (p, states, pairs) in &table {
+        let trace = generate_trace(p, &CheckConfig::default());
+        let precise = precise_match_pairs(p, &trace, DeliveryModel::Unordered);
+        let over = overapprox_match_pairs(p, &trace);
+        assert_eq!(
+            (
+                precise.states_explored,
+                precise.num_pairs(),
+                over.num_pairs()
+            ),
+            (*states, *pairs, *pairs),
+            "{}",
             p.name
         );
     }
