@@ -121,7 +121,7 @@ fn main() {
         let p = race(n);
         let trace = generate_trace(&p, &CheckConfig::default());
         let precise = precise_match_pairs(&p, &trace, DeliveryModel::Unordered);
-        let over = overapprox_match_pairs(&p, &trace);
+        let over = overapprox_match_pairs(&trace);
         println!(
             "{}",
             bench::row(&[

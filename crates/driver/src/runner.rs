@@ -9,7 +9,7 @@ use crate::report::{PortfolioReport, ScenarioOutcome, VerdictKind};
 use crate::scenario::{batch_by_grid_point, Engine, GridBatch, Scenario};
 use explicit::{ExploreConfig, ExploreResult, GraphExplorer};
 use mcapi::program::Program;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use symbolic::checker::{check_source, CheckConfig, CheckReport, MatchGen, SingleTrace, Verdict};
 use symbolic::paths::{enumeration_failed, PathEnumerator, PathsConfig};
 use symbolic::session::SessionPool;
@@ -41,8 +41,9 @@ pub struct PortfolioConfig {
     /// Stop-on-first-violation ([`Mode::Race`]) or run-everything
     /// ([`Mode::Sweep`]).
     pub mode: Mode,
-    /// Per-scenario wall-clock budget (maps to [`CheckConfig::budget_ms`]
-    /// and [`ExploreConfig::budget_ms`]). `None` = unbounded.
+    /// Per-scenario wall-clock budget in milliseconds; `None` = unbounded.
+    /// Building a scenario's config turns it into the one absolute
+    /// deadline that every layer of that scenario polls.
     pub budget_ms: Option<u64>,
     /// Explicit-engine state-count cap.
     pub max_states: usize,
@@ -86,9 +87,10 @@ impl Default for PortfolioConfig {
 }
 
 impl PortfolioConfig {
-    /// The [`CheckConfig`] a symbolic scenario runs under. Public so tests
-    /// and experiment binaries can run the *same* configuration through
-    /// the sequential checker when validating portfolio verdicts.
+    /// The [`CheckConfig`] a symbolic scenario runs under, its deadline
+    /// [`PortfolioConfig::budget_ms`] from now. Public so tests and
+    /// experiment binaries can run the *same* configuration through the
+    /// sequential checker when validating portfolio verdicts.
     pub fn check_config(&self, scenario: &Scenario) -> CheckConfig {
         let matchgen = match scenario.engine {
             Engine::Symbolic(m) => m,
@@ -100,7 +102,7 @@ impl PortfolioConfig {
         CheckConfig {
             delivery: scenario.delivery,
             matchgen,
-            budget_ms: self.budget_ms,
+            deadline: self.deadline(),
             ..CheckConfig::default()
         }
     }
@@ -115,16 +117,23 @@ impl PortfolioConfig {
         }
     }
 
-    /// The [`ExploreConfig`] an explicit scenario runs under.
+    /// The [`ExploreConfig`] an explicit scenario runs under, its deadline
+    /// [`PortfolioConfig::budget_ms`] from now.
     pub fn explore_config(&self, scenario: &Scenario) -> ExploreConfig {
         ExploreConfig {
             model: scenario.delivery,
             max_states: self.max_states,
-            budget_ms: self.budget_ms,
+            deadline: self.deadline(),
             stop_at_first_violation: self.mode == Mode::Race,
             use_canonical: self.canonical,
             ..ExploreConfig::default()
         }
+    }
+
+    /// The instant a scenario whose config is built now must end by.
+    fn deadline(&self) -> Option<Instant> {
+        self.budget_ms
+            .map(|ms| Instant::now() + Duration::from_millis(ms))
     }
 }
 
@@ -275,7 +284,7 @@ pub fn run_engine(
             let pcfg = cfg.paths_config(scenario);
             match PathEnumerator::new(program, &pcfg) {
                 Ok(mut paths) => check_source(pool, program, &mut paths, &pcfg.check),
-                Err(why) => (enumeration_failed(program, &pcfg, &why), false),
+                Err(why) => (enumeration_failed(&why), false),
             }
         }
         Engine::Explicit => {

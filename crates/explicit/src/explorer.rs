@@ -15,7 +15,7 @@ use mcapi::canon::{independent, summarize};
 use mcapi::program::Program;
 use mcapi::state::SysState;
 use mcapi::types::DeliveryModel;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Exploration parameters.
 #[derive(Clone, Copy, Debug)]
@@ -25,10 +25,10 @@ pub struct ExploreConfig {
     pub track_matchings: bool,
     /// Stop after visiting this many states (`truncated` set in the result).
     pub max_states: usize,
-    /// Wall-clock budget in milliseconds, fixed when `explore` starts and
-    /// polled every 1,024 visited states (`truncated` and `out_of_time`
-    /// set in the result). `None` = unbounded.
-    pub budget_ms: Option<u64>,
+    /// The instant the exploration must end by, polled every 1,024
+    /// visited states (`truncated` and `out_of_time` set in the result).
+    /// `None` = unbounded.
+    pub deadline: Option<Instant>,
     /// Stop at the first assertion violation.
     pub stop_at_first_violation: bool,
     /// Prune successors that swap an adjacent independent pair out of the
@@ -49,7 +49,7 @@ impl Default for ExploreConfig {
             model: DeliveryModel::Unordered,
             track_matchings: true,
             max_states: 1_000_000,
-            budget_ms: None,
+            deadline: None,
             stop_at_first_violation: false,
             use_canonical: false,
         }
@@ -82,9 +82,6 @@ impl<'a> GraphExplorer<'a> {
     /// Run the exploration to fixpoint (or a limit).
     pub fn explore(&self) -> ExploreResult {
         let cfg = &self.config;
-        let deadline = cfg
-            .budget_ms
-            .map(|ms| Instant::now() + Duration::from_millis(ms));
         let mut result = ExploreResult::default();
         // `sys` is the decoded state of the row being expanded; `row` and
         // `child` are reused row buffers.
@@ -124,7 +121,9 @@ impl<'a> GraphExplorer<'a> {
                 result.truncated = true;
                 break;
             }
-            if result.states % DEADLINE_POLL == 0 && deadline.is_some_and(|d| Instant::now() >= d) {
+            if result.states % DEADLINE_POLL == 0
+                && cfg.deadline.is_some_and(|d| Instant::now() >= d)
+            {
                 result.truncated = true;
                 result.out_of_time = true;
                 break;
@@ -339,7 +338,7 @@ mod tests {
         // the search at the first poll.
         let p = workloads::branchy(3);
         let cfg = ExploreConfig {
-            budget_ms: Some(0),
+            deadline: Some(Instant::now()),
             ..Default::default()
         };
         let r = GraphExplorer::new(&p, cfg).explore();

@@ -27,7 +27,7 @@ pub struct ExploreResult {
     pub canonical_skipped: u64,
     /// Exploration stopped early (state, depth or time limit).
     pub truncated: bool,
-    /// The stop was the time budget ([`crate::ExploreConfig::budget_ms`]).
+    /// The stop was the time budget ([`crate::ExploreConfig::deadline`]).
     pub out_of_time: bool,
 }
 

@@ -95,7 +95,7 @@ mod tests {
     use crate::builder::ProgramBuilder;
     use crate::expr::{Cond, Expr};
     use crate::trace::EventKind;
-    use crate::types::CmpOp;
+    use crate::types::{CmpOp, RecvKey};
 
     fn fig1_like() -> Program {
         // The paper's Fig. 1: t0 recv A, recv B; t1 recv C, send X->t0;
@@ -135,15 +135,10 @@ mod tests {
             let out = execute_random(&p, DeliveryModel::Unordered, seed);
             let matching = out.trace.concrete_matching();
             // First receive of thread 0.
-            let first = out
-                .trace
-                .events
+            let (_, msg) = matching
                 .iter()
-                .enumerate()
-                .find(|(_, e)| e.thread == 0)
-                .map(|(i, _)| i)
+                .find(|(k, _)| *k == RecvKey::new(0, 0))
                 .unwrap();
-            let (_, msg) = matching.iter().find(|(i, _)| *i >= first).unwrap();
             first_recv_sources.insert(msg.thread);
         }
         assert!(

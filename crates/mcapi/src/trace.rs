@@ -7,7 +7,9 @@
 //! send/receive matching.
 
 use crate::state::Action;
-use crate::types::{DeliveryModel, EndpointAddr, MsgId, Port, ReqId, ThreadId, Value, VarId};
+use crate::types::{
+    DeliveryModel, EndpointAddr, Matching, MsgId, Port, RecvKey, ReqId, ThreadId, Value, VarId,
+};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -177,17 +179,21 @@ impl Trace {
             .collect()
     }
 
-    /// The matching recorded in this concrete execution:
-    /// (receive event index, send message id) pairs in event order.
-    pub fn concrete_matching(&self) -> Vec<(usize, MsgId)> {
-        self.events
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| match e.kind {
-                EventKind::Recv { msg, .. } | EventKind::WaitRecv { msg, .. } => Some((i, msg)),
-                _ => None,
-            })
-            .collect()
+    /// The matching recorded in this concrete execution: each receive,
+    /// keyed by its thread and completion index, with the message it
+    /// consumed, sorted by key.
+    pub fn concrete_matching(&self) -> Matching {
+        let threads = self.events.iter().map(|e| e.thread + 1).max().unwrap_or(0);
+        let mut counts = vec![0usize; threads];
+        let mut m: Matching = Vec::new();
+        for e in &self.events {
+            if let EventKind::Recv { msg, .. } | EventKind::WaitRecv { msg, .. } = e.kind {
+                m.push((RecvKey::new(e.thread, counts[e.thread]), msg));
+                counts[e.thread] += 1;
+            }
+        }
+        m.sort_unstable_by_key(|(k, _)| *k);
+        m
     }
 
     /// Branch outcomes of every thread in program order, sized to
@@ -392,7 +398,7 @@ mod tests {
     fn concrete_matching_extracts_pairs() {
         let t = sample_trace();
         let m = t.concrete_matching();
-        assert_eq!(m, vec![(2, MsgId::new(1, 0))]);
+        assert_eq!(m, vec![(RecvKey::new(0, 0), MsgId::new(1, 0))]);
     }
 
     #[test]

@@ -41,12 +41,9 @@ const TRAIL_EMA_N: f64 = 5000.0;
 const BLOCK_R: f64 = 1.4;
 /// Trail blocking only engages after the trail EMA has warmed up.
 const BLOCK_WARMUP: u64 = 5000;
-/// Variable-activity decay ramps from START to MAX by STEP every RAMP
-/// conflicts: aggressive focus early, stability late.
-const VAR_DECAY_START: f64 = 0.95;
-const VAR_DECAY_MAX: f64 = 0.95;
-const VAR_DECAY_STEP: f64 = 0.01;
-const VAR_DECAY_RAMP: u64 = 5000;
+/// Variable-activity decay factor: each conflict divides the bump
+/// increment by it, so recent conflicts weigh more.
+const VAR_DECAY: f64 = 0.95;
 
 /// Outcome of a `solve` call.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -143,9 +140,6 @@ pub struct SatSolver<T: Theory = NoTheory> {
     vars: Vec<VarState>,
     activity: Vec<f64>,
     var_inc: f64,
-    /// Current activity decay factor (ramps [`VAR_DECAY_START`] →
-    /// [`VAR_DECAY_MAX`]).
-    var_decay: f64,
     heap: VarHeap,
     db: ClauseDb,
     watches: Vec<Vec<Watcher>>,
@@ -217,7 +211,6 @@ impl<T: Theory> SatSolver<T> {
             vars: Vec::new(),
             activity: Vec::new(),
             var_inc: 1.0,
-            var_decay: VAR_DECAY_START,
             heap: VarHeap::new(),
             db: ClauseDb::new(),
             watches: Vec::new(),
@@ -652,12 +645,7 @@ impl<T: Theory> SatSolver<T> {
     }
 
     fn decay_var_activity(&mut self) {
-        self.var_inc /= self.var_decay;
-        // Ramp toward stability: early search wants activities to chase the
-        // conflict frontier hard, converged search wants them steady.
-        if self.stats.conflicts.is_multiple_of(VAR_DECAY_RAMP) {
-            self.var_decay = (self.var_decay + VAR_DECAY_STEP).min(VAR_DECAY_MAX);
-        }
+        self.var_inc /= VAR_DECAY;
     }
 
     fn mark(&mut self, v: Var) {

@@ -302,9 +302,8 @@ impl SmtSolver {
 
     /// Wall-clock deadline for subsequent checks: a check still searching
     /// at the deadline answers `Unknown` instead of overshooting (None =
-    /// unlimited). This is the per-check half of the checker's
-    /// `budget_ms`; the caller decides how much of its budget each check
-    /// may spend.
+    /// unlimited). The symbolic checker hands every check its one
+    /// whole-check deadline, so no single check outlives the budget.
     pub fn set_deadline(&mut self, deadline: Option<std::time::Instant>) {
         self.sat.set_deadline(deadline);
     }

@@ -31,19 +31,14 @@ pub struct CheckConfig {
     pub matchgen: MatchGen,
     /// Maximum spurious witnesses to block before giving up.
     pub max_refinements: usize,
-    /// Wall-clock budget for match-pair generation and the solve/refine
-    /// loop, in milliseconds. `None` means unbounded. When the budget runs
-    /// out the verdict degrades to [`Verdict::Unknown`] rather than a wrong
-    /// answer. The deadline is polled by the precise match-pair DFS,
-    /// checked between solver calls *and* handed to the solver as a
-    /// per-check deadline, so neither a pathological DFS nor a single SMT
-    /// check blows past the budget.
-    pub budget_ms: Option<u64>,
-    /// Absolute deadline overriding `budget_ms` when set. Multi-trace
-    /// drivers (the path-exploration layer) compute one deadline for the
-    /// whole `check_program` call and thread it through every per-path
-    /// query, so the budget spans *all* paths instead of resetting per
-    /// trace.
+    /// The instant the whole check must end by; `None` means unbounded.
+    /// It is fixed once, before the check starts (the portfolio driver
+    /// sets it from its per-scenario budget), and no layer restarts it:
+    /// the precise match-pair DFS, the path frontier and its directed
+    /// searches poll it, the check loop tests it between solver calls and
+    /// hands it to the solver as a per-check deadline. So one budget spans
+    /// every trace, query and path, and when it runs out the verdict
+    /// degrades to [`Verdict::Unknown`] rather than a wrong answer.
     pub deadline: Option<Instant>,
 }
 
@@ -53,7 +48,6 @@ impl Default for CheckConfig {
             delivery: DeliveryModel::Unordered,
             matchgen: MatchGen::Precise,
             max_refinements: 1000,
-            budget_ms: None,
             deadline: None,
         }
     }
@@ -65,16 +59,6 @@ impl CheckConfig {
             matchgen,
             ..Default::default()
         }
-    }
-
-    /// The absolute deadline this configuration implies: an explicit
-    /// [`CheckConfig::deadline`] wins (multi-trace drivers set it once for
-    /// the whole exploration); otherwise `budget_ms` counts from now.
-    pub fn resolve_deadline(&self) -> Option<Instant> {
-        self.deadline.or_else(|| {
-            self.budget_ms
-                .map(|ms| Instant::now() + std::time::Duration::from_millis(ms))
-        })
     }
 }
 
@@ -103,6 +87,9 @@ pub struct ConfirmedViolation {
     /// lives on (rendered per [`mcapi::sched::BranchPlan::render`]); set
     /// by the path-exploration engine, `None` for single-trace checks.
     pub branch_path: Option<String>,
+    /// The trace the violation was found on (the violating path's trace
+    /// under the path engine): the witness's event indices point into it.
+    pub trace: Trace,
 }
 
 /// Wall-clock breakdown of one check across the pipeline's phases, in
@@ -203,15 +190,12 @@ pub struct CheckReport {
     pub canonical_skipped: u64,
     /// Wall-clock breakdown across pipeline phases.
     pub timings: PhaseTimings,
-    /// The trace the analysis ran on (the violating path's trace when the
-    /// path engine found a violation).
-    pub trace: Trace,
 }
 
 impl CheckReport {
-    /// A report of `verdict` on `trace` with every counter zero; each
-    /// layer fills in what it measured.
-    pub fn new(verdict: Verdict, trace: Trace) -> CheckReport {
+    /// A report of `verdict` with every counter zero; each layer fills in
+    /// what it measured.
+    pub fn new(verdict: Verdict) -> CheckReport {
         CheckReport {
             verdict,
             refinements: 0,
@@ -226,7 +210,6 @@ impl CheckReport {
             directed_transitions: 0,
             canonical_skipped: 0,
             timings: PhaseTimings::default(),
-            trace,
         }
     }
 
@@ -235,8 +218,7 @@ impl CheckReport {
     /// and `encode_stats` keeps the last query's. Encode stats are
     /// formula *sizes*, not work: under session reuse the last query's is
     /// the shared core's size, without it one representative core's.
-    /// Verdict, trace and the source-level path counters are the
-    /// caller's.
+    /// Verdict and the source-level path counters are the caller's.
     fn absorb(&mut self, query: &CheckReport) {
         self.refinements += query.refinements;
         self.sat_checks += query.sat_checks;
@@ -327,7 +309,8 @@ pub fn generate_trace(program: &Program, cfg: &CheckConfig) -> Trace {
 /// The paper's engine analyses exactly **one** trace ([`SingleTrace`]);
 /// the path-exploration layer (`symbolic::paths::PathEnumerator`)
 /// enumerates one trace per feasible control-flow path. [`check_source`]
-/// is the one loop that checks either.
+/// is the one loop that checks either. A source holds no budget of its
+/// own: one that searches polls the check's [`CheckConfig::deadline`].
 pub trait TraceSource {
     /// The next trace to analyse, or `None` when the source is exhausted.
     fn next_trace(&mut self) -> Option<SourcedTrace>;
@@ -363,12 +346,6 @@ pub trait TraceSource {
     /// µs spent in directed-scheduler searches realising paths.
     fn schedule_us(&self) -> u64 {
         0
-    }
-    /// An absolute deadline the source already started, shared by every
-    /// trace's query so one budget spans the whole source. `None` lets
-    /// each query start [`CheckConfig::budget_ms`] on its own.
-    fn deadline(&self) -> Option<Instant> {
-        None
     }
 }
 
@@ -483,9 +460,9 @@ pub fn check_trace(program: &Program, trace: &Trace, cfg: &CheckConfig) -> Check
 ///   the source was not truncated; any `Unknown` trace or truncation
 ///   yields `Unknown`.
 ///
-/// The deadline is fixed once, before the first trace: the source's own
-/// if it set one, else [`CheckConfig::resolve_deadline`]. Match-pair
-/// generation and every query share it.
+/// Match-pair generation and every query poll the one
+/// [`CheckConfig::deadline`]; a source that searches polls the same
+/// instant from its own copy of the configuration.
 ///
 /// Returns the report and whether the *first* trace landed on an encoding
 /// the pool already held. Sibling-path sharing inside one source is
@@ -497,30 +474,23 @@ pub fn check_source(
     source: &mut dyn TraceSource,
     cfg: &CheckConfig,
 ) -> (CheckReport, bool) {
-    let cfg = CheckConfig {
-        deadline: source.deadline().or_else(|| cfg.resolve_deadline()),
-        ..*cfg
-    };
-    let mut total = CheckReport::new(Verdict::Safe, Trace::default());
-    let mut last_trace: Option<Trace> = None;
+    let mut total = CheckReport::new(Verdict::Safe);
     let mut first_reuse: Option<bool> = None;
     let mut unknown: Option<String> = None;
     let mut verdict: Option<Verdict> = None;
 
     while let Some(st) = source.next_trace() {
         if st.trace.violation.is_some() {
-            verdict = Some(violating_trace_verdict(&st.trace, st.branch_path));
-            last_trace = Some(st.trace);
+            verdict = Some(violating_trace_verdict(st.trace, st.branch_path));
             break;
         }
-        let pairs = make_pairs(program, &st.trace, &cfg);
+        let pairs = make_pairs(program, &st.trace, cfg);
         let (session, path, reused) = pool.session_for_path(program, &st.trace, &pairs);
-        let mut report = check_in_session_at(session, path, program, &st.trace, &cfg);
+        let mut report = check_in_session_at(session, path, program, &st.trace, cfg);
         report.matchgen_states = pairs.states_explored;
         report.matchgen_pairs = pairs.num_pairs();
         first_reuse.get_or_insert(reused);
         total.absorb(&report);
-        last_trace = Some(st.trace);
         match report.verdict {
             Verdict::Violation(mut cv) => {
                 cv.branch_path = st.branch_path;
@@ -544,7 +514,6 @@ pub fn check_source(
         None => Verdict::Safe,
     });
     total.verdict = verdict;
-    total.trace = last_trace.unwrap_or_else(|| execute_random(program, cfg.delivery, 0).trace);
     total.timings.enumerate_us += source.enumerate_us();
     total.timings.schedule_us += source.schedule_us();
     total.paths_explored = source.paths_explored();
@@ -555,14 +524,14 @@ pub fn check_source(
 
 /// The verdict for a trace that violated a property on its own: the
 /// trace is its own witness and no solver runs.
-fn violating_trace_verdict(trace: &Trace, branch_path: Option<String>) -> Verdict {
+fn violating_trace_verdict(trace: Trace, branch_path: Option<String>) -> Verdict {
     let v = trace
         .violation
         .clone()
         .expect("caller checked for a violation");
     Verdict::Violation(Box::new(ConfirmedViolation {
         witness: Witness {
-            matching: trace.concrete_matching_keys(),
+            matching: trace.concrete_matching(),
             event_order: (0..trace.events.len()).collect(),
             clocks: (0..trace.events.len() as i64).collect(),
             recv_values: Vec::new(),
@@ -571,6 +540,7 @@ fn violating_trace_verdict(trace: &Trace, branch_path: Option<String>) -> Verdic
         violated_props: vec![v.message.clone()],
         violation: Some(v),
         branch_path,
+        trace,
     }))
 }
 
@@ -580,7 +550,7 @@ fn violating_trace_verdict(trace: &Trace, branch_path: Option<String>) -> Verdic
 /// own trace; it is used for witness replay). The delivery-model axiom
 /// group and negated-property group are activated by assumptions,
 /// refinement blocking clauses live in a solver scope popped on exit,
-/// and [`CheckConfig::budget_ms`] is plumbed into the solver as a
+/// and [`CheckConfig::deadline`] is plumbed into the solver as a
 /// per-check deadline so no single solve can overshoot the budget.
 ///
 /// Match-pair cost counters are left at zero — the session owner knows
@@ -593,7 +563,7 @@ pub fn check_in_session_at(
     cfg: &CheckConfig,
 ) -> CheckReport {
     let mut query_span = trace::span("symbolic.query");
-    let deadline = cfg.resolve_deadline();
+    let deadline = cfg.deadline;
     // Build (or look up) the axiom groups *before* opening the per-query
     // scope: groups are permanent, blocking clauses are not. Group
     // building counts as encode time, as does any core build / sibling
@@ -645,6 +615,7 @@ pub fn check_in_session_at(
                             violation,
                             violated_props: violated,
                             branch_path: None,
+                            trace: trace.clone(),
                         }));
                     }
                     ReplayVerdict::Spurious { .. } => {
@@ -684,7 +655,7 @@ pub fn check_in_session_at(
             solve_us,
             ..PhaseTimings::default()
         },
-        ..CheckReport::new(verdict, trace.clone())
+        ..CheckReport::new(verdict)
     }
 }
 
@@ -694,7 +665,7 @@ pub fn check_in_session_at(
 pub fn make_pairs(program: &Program, trace: &Trace, cfg: &CheckConfig) -> MatchPairs {
     match cfg.matchgen {
         MatchGen::Precise => precise_match_pairs_until(program, trace, cfg.delivery, cfg.deadline),
-        MatchGen::OverApprox => overapprox_match_pairs(program, trace),
+        MatchGen::OverApprox => overapprox_match_pairs(trace),
     }
 }
 
@@ -708,8 +679,8 @@ pub struct MatchingEnumeration {
     /// SMT check calls performed.
     pub sat_checks: usize,
     /// Enumeration stopped before exhaustion was proven: another model
-    /// still existed when `limit` was reached, [`CheckConfig::budget_ms`]
-    /// expired, or a blocking clause could not be added. `matchings` may
+    /// still existed when `limit` was reached, [`CheckConfig::deadline`]
+    /// passed, or a blocking clause could not be added. `matchings` may
     /// be missing behaviours the formula admits. A run that stops *at*
     /// `limit` with no further model is complete, not truncated.
     pub truncated: bool,
@@ -742,7 +713,7 @@ pub fn enumerate_matchings(
     let enc = &mut session.enc;
     let id_terms = enc.id_terms();
     let mut out = MatchingEnumeration::default();
-    let deadline = cfg.resolve_deadline();
+    let deadline = cfg.deadline;
     enc.solver.push_scope();
     loop {
         if deadline.is_some_and(|d| Instant::now() >= d) {
@@ -793,30 +764,6 @@ pub fn enumerate_matchings(
     }
     enc.solver.pop_scope();
     out
-}
-
-// Small helper on Trace used by the direct-violation verdict.
-trait TraceExt {
-    fn concrete_matching_keys(&self) -> Matching;
-}
-
-impl TraceExt for Trace {
-    fn concrete_matching_keys(&self) -> Matching {
-        use mcapi::trace::EventKind;
-        use mcapi::types::RecvKey;
-        let threads = self.events.iter().map(|e| e.thread + 1).max().unwrap_or(0);
-        let mut counts = vec![0usize; threads];
-        let mut m: Matching = Vec::new();
-        for e in &self.events {
-            if let EventKind::Recv { msg, .. } | EventKind::WaitRecv { msg, .. } = e.kind {
-                let key = RecvKey::new(e.thread, counts[e.thread]);
-                counts[e.thread] += 1;
-                m.push((key, msg));
-            }
-        }
-        m.sort_unstable_by_key(|(k, _)| *k);
-        m
-    }
 }
 
 #[cfg(test)]
@@ -927,12 +874,12 @@ mod tests {
 
     #[test]
     fn exhausted_budget_degrades_to_unknown() {
-        // budget_ms = 0: the deadline is already past when the first check
-        // would run (and is also plumbed into the solver as a per-check
-        // deadline), so the verdict must degrade to Unknown, never flip.
+        // A deadline of now is already past when the first check would run
+        // (and is also plumbed into the solver as a per-check deadline), so
+        // the verdict must degrade to Unknown, never flip.
         let p = race_with_assert();
         let cfg = CheckConfig {
-            budget_ms: Some(0),
+            deadline: Some(Instant::now()),
             ..CheckConfig::default()
         };
         let report = check_program(&p, &cfg);
@@ -992,7 +939,7 @@ mod tests {
         assert_eq!(cv.violation.as_ref(), Some(&v));
         assert_eq!(cv.violated_props, vec![v.message.clone()]);
         assert_eq!(cv.branch_path, None);
-        assert_eq!(cv.witness.matching, trace.concrete_matching_keys());
+        assert_eq!(cv.witness.matching, trace.concrete_matching());
         assert_eq!(cv.witness.event_order, (0..n).collect::<Vec<_>>());
         assert_eq!(cv.witness.clocks, (0..n as i64).collect::<Vec<_>>());
         assert!(cv.witness.recv_values.is_empty());

@@ -520,23 +520,8 @@ pub fn encode_core(program: &Program, trace: &Trace, pairs: &MatchPairs) -> Enco
                     to: *to,
                 });
             }
-            EventKind::Recv { port, var, .. } => {
-                let key = RecvKey::new(t, recv_counts[t]);
-                recv_counts[t] += 1;
-                let val = solver.int_var(format!("val_{key:?}"));
-                let id_term = solver.int_var(format!("id_{key:?}"));
-                env[t][var.0 as usize] = val;
-                recvs.push(RecvVar {
-                    key,
-                    event_idx: idx,
-                    id_term,
-                    val,
-                    clock_obs: clock,
-                    endpoint: EndpointAddr::new(t, *port),
-                });
-            }
-            EventKind::WaitRecv { port, var, .. } => {
-                // Non-blocking receive: the match is ordered against this
+            EventKind::Recv { port, var, .. } | EventKind::WaitRecv { port, var, .. } => {
+                // A non-blocking receive's match is ordered against its
                 // wait's clock (the paper's rule for recv_i/wait).
                 let key = RecvKey::new(t, recv_counts[t]);
                 recv_counts[t] += 1;
@@ -846,7 +831,7 @@ mod tests {
         for (n, expect) in [(3, 6), (4, 24)] {
             let p = workloads::race(n);
             let tr = crate::checker::generate_trace(&p, &crate::checker::CheckConfig::default());
-            let pairs = overapprox_match_pairs(&p, &tr);
+            let pairs = overapprox_match_pairs(&tr);
             let mut enc = encode(
                 &p,
                 &tr,
@@ -868,7 +853,7 @@ mod tests {
         let tr = complete_trace(&p);
         // Use over-approximate pairs so the restriction comes from the
         // encoding's ordering axioms, not from the pair generator.
-        let pairs = overapprox_match_pairs(&p, &tr);
+        let pairs = overapprox_match_pairs(&tr);
         let mut enc = encode(
             &p,
             &tr,
@@ -971,7 +956,7 @@ mod tests {
         b.send_const(t1, t0, 0, 2);
         let p = b.build().unwrap();
         let tr = complete_trace(&p);
-        let over = overapprox_match_pairs(&p, &tr);
+        let over = overapprox_match_pairs(&tr);
         // Unordered: the violation is reachable (2 can overtake 1).
         let mut un = encode(
             &p,

@@ -195,7 +195,7 @@ pub(crate) fn precise_match_pairs_until(
         {
             return MatchPairs {
                 states_explored: pairs.states_explored,
-                ..overapprox_match_pairs(program, trace)
+                ..overapprox_match_pairs(trace)
             };
         }
         pairs.states_explored += 1;
@@ -245,8 +245,7 @@ fn rank_per_destination(flight: &mut [InFlight], ranks: &mut Vec<u32>) {
 
 /// Over-approximate match pairs: every send whose destination is the
 /// receive's endpoint is a candidate (the paper's planned future work).
-pub fn overapprox_match_pairs(program: &Program, trace: &Trace) -> MatchPairs {
-    let _ = program;
+pub fn overapprox_match_pairs(trace: &Trace) -> MatchPairs {
     let mut pairs = MatchPairs {
         generator: "overapprox-endpoint",
         states_explored: 1,
@@ -357,7 +356,7 @@ mod tests {
         let p = fig1();
         let t = complete_trace(&p);
         let precise = precise_match_pairs(&p, &t, DeliveryModel::Unordered);
-        let over = overapprox_match_pairs(&p, &t);
+        let over = overapprox_match_pairs(&t);
         assert!(over.contains(&precise));
         // For Fig. 1 the over-approximation is actually exact on A and B
         // but the general relation is containment.
@@ -368,7 +367,7 @@ mod tests {
     fn overapprox_is_cheap() {
         let p = fig1();
         let t = complete_trace(&p);
-        let over = overapprox_match_pairs(&p, &t);
+        let over = overapprox_match_pairs(&t);
         assert_eq!(over.states_explored, 1);
         let precise = precise_match_pairs(&p, &t, DeliveryModel::Unordered);
         assert!(precise.states_explored > 1);
@@ -411,7 +410,7 @@ mod tests {
             let t = complete_trace(&p);
             let precise = precise_match_pairs(&p, &t, DeliveryModel::Unordered);
             assert_eq!(precise.num_pairs(), n * n);
-            let over = overapprox_match_pairs(&p, &t);
+            let over = overapprox_match_pairs(&t);
             assert_eq!(over.num_pairs(), n * n);
         }
     }

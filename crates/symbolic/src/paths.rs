@@ -43,9 +43,9 @@ use std::time::Instant;
 #[derive(Clone, Copy, Debug)]
 pub struct PathsConfig {
     /// The per-path checker configuration (delivery model, match
-    /// generator, budget). `budget_ms` spans the *whole* path exploration:
-    /// one deadline is computed up front and threaded through every
-    /// per-path query via [`CheckConfig::deadline`].
+    /// generator, deadline). Its [`CheckConfig::deadline`] spans the
+    /// *whole* path exploration: the frontier, every directed search and
+    /// every per-path query poll the same instant.
     pub check: CheckConfig,
     /// Maximum number of paths to explore. When the static path space is
     /// larger, the verdict degrades to [`Verdict::Unknown`] (never a
@@ -95,7 +95,6 @@ enum PathStep {
 pub struct PathEnumerator<'a> {
     program: &'a Program,
     cfg: PathsConfig,
-    deadline: Option<Instant>,
     /// Per-thread static outcome vectors.
     space: Vec<Vec<Vec<bool>>>,
     /// Next path index (mixed-radix over `space`).
@@ -133,11 +132,9 @@ impl<'a> PathEnumerator<'a> {
             .map(Vec::len)
             .try_fold(1usize, |a, b| a.checked_mul(b))
             .unwrap_or(usize::MAX);
-        let deadline = cfg.check.resolve_deadline();
         Ok(PathEnumerator {
             program,
             cfg: *cfg,
-            deadline,
             space,
             next: 0,
             total,
@@ -181,7 +178,7 @@ impl<'a> PathEnumerator<'a> {
             ));
             return None;
         }
-        if self.deadline.is_some_and(|d| Instant::now() >= d) {
+        if self.cfg.check.deadline.is_some_and(|d| Instant::now() >= d) {
             self.truncated = true;
             self.stopped = true;
             self.stop_reason = Some("time budget exhausted during path exploration".into());
@@ -192,7 +189,7 @@ impl<'a> PathEnumerator<'a> {
         // The visited-state cap is the directed search's default.
         let dcfg = DirectedConfig {
             max_transitions: self.cfg.search_max_transitions,
-            deadline: self.deadline,
+            deadline: self.cfg.check.deadline,
             canonical: self.cfg.canonical,
             ..DirectedConfig::default()
         };
@@ -298,12 +295,6 @@ impl TraceSource for PathEnumerator<'_> {
     fn schedule_us(&self) -> u64 {
         self.schedule_us
     }
-
-    /// One deadline spans the whole exploration: every per-path query
-    /// gets it instead of restarting its own budget.
-    fn deadline(&self) -> Option<Instant> {
-        self.deadline
-    }
 }
 
 /// Path-complete check of a whole program: every feasible control-flow
@@ -348,18 +339,15 @@ impl TraceSource for PathEnumerator<'_> {
 pub fn check_program_paths(program: &Program, cfg: &PathsConfig) -> CheckReport {
     match PathEnumerator::new(program, cfg) {
         Ok(mut paths) => check_source(&mut SessionPool::new(), program, &mut paths, &cfg.check).0,
-        Err(why) => enumeration_failed(program, cfg, &why),
+        Err(why) => enumeration_failed(&why),
     }
 }
 
 /// The `Unknown` report for a program whose static path space cannot be
 /// enumerated ([`PathEnumerator::new`] failed with `why`): no path was
 /// explored, so nothing else is known.
-pub fn enumeration_failed(program: &Program, cfg: &PathsConfig, why: &str) -> CheckReport {
-    CheckReport::new(
-        Verdict::Unknown(format!("path enumeration failed: {why}")),
-        mcapi::runtime::execute_random(program, cfg.check.delivery, 0).trace,
-    )
+pub fn enumeration_failed(why: &str) -> CheckReport {
+    CheckReport::new(Verdict::Unknown(format!("path enumeration failed: {why}")))
 }
 
 #[cfg(test)]
@@ -520,7 +508,7 @@ mod tests {
         let p = gatekeeper();
         let cfg = PathsConfig {
             check: CheckConfig {
-                budget_ms: Some(0),
+                deadline: Some(Instant::now()),
                 ..CheckConfig::default()
             },
             ..PathsConfig::default()

@@ -382,7 +382,7 @@ mod tests {
         let p = fig1();
         let cfg = CheckConfig::default();
         let trace = generate_trace(&p, &cfg);
-        let pairs = overapprox_match_pairs(&p, &trace);
+        let pairs = overapprox_match_pairs(&trace);
         let mut session = CheckSession::new(&p, &trace, &pairs);
         // fig1 has no assertions: the violation query is UNSAT under every
         // delivery model, from one shared encoding.
@@ -432,7 +432,7 @@ mod tests {
         let p = fig1();
         let cfg = CheckConfig::default();
         let trace = generate_trace(&p, &cfg);
-        let over = overapprox_match_pairs(&p, &trace);
+        let over = overapprox_match_pairs(&trace);
         let precise = precise_match_pairs(&p, &trace, DeliveryModel::Unordered);
         let mut pool = SessionPool::new();
         let (_, path, reused) = pool.session_for_path(&p, &trace, &over);
@@ -453,7 +453,7 @@ mod tests {
     fn one_shot_pool_builds_every_lookup_afresh() {
         let p = fig1();
         let trace = generate_trace(&p, &CheckConfig::default());
-        let pairs = overapprox_match_pairs(&p, &trace);
+        let pairs = overapprox_match_pairs(&trace);
         let mut pool = SessionPool::one_shot();
         for _ in 0..2 {
             let (_, path, reused) = pool.session_for_path(&p, &trace, &pairs);
@@ -522,8 +522,8 @@ mod tests {
         let t_then = clean_trace_with_outcome(&p, true);
         let t_else = clean_trace_with_outcome(&p, false);
         assert_ne!(t_then.events, t_else.events);
-        let pairs_then = overapprox_match_pairs(&p, &t_then);
-        let pairs_else = overapprox_match_pairs(&p, &t_else);
+        let pairs_then = overapprox_match_pairs(&t_then);
+        let pairs_else = overapprox_match_pairs(&t_else);
         let mut pool = SessionPool::new();
         let (_, path, reused) = pool.session_for_path(&p, &t_then, &pairs_then);
         assert_eq!(path, 0);
@@ -621,8 +621,8 @@ mod tests {
         };
         let t_then = realize(true);
         let t_else = realize(false);
-        let pairs_then = overapprox_match_pairs(&p, &t_then);
-        let pairs_else = overapprox_match_pairs(&p, &t_else);
+        let pairs_then = overapprox_match_pairs(&t_then);
+        let pairs_else = overapprox_match_pairs(&t_else);
         let mut pool = SessionPool::new();
         let (_, _, reused) = pool.session_for_path(&p, &t_then, &pairs_then);
         assert!(!reused);

@@ -402,7 +402,7 @@ mod tests {
         // delayed-delivery witness is not realizable there.
         let p = race_with_assert();
         let tr = complete_trace(&p);
-        let pairs = overapprox_match_pairs(&p, &tr);
+        let pairs = overapprox_match_pairs(&tr);
         let mut enc = encode(&p, &tr, &pairs, EncodeOptions::default());
         assert_eq!(enc.solver.check(), SatResult::Sat);
         let model = enc.solver.model().unwrap().clone();

@@ -178,7 +178,7 @@ fn differential(name: &str, program: &Program) {
         let trace = generate_trace(program, &cfg);
         for (gen, pairs) in [
             ("precise", precise_match_pairs(program, &trace, delivery)),
-            ("overapprox", overapprox_match_pairs(program, &trace)),
+            ("overapprox", overapprox_match_pairs(&trace)),
         ] {
             let what = format!("{name} {delivery:?} {gen}");
             // The violation query: same answer, and its model (if any)
@@ -286,7 +286,7 @@ fn fifo_leaves_other_channels_unordered() {
     differential("fifo-beside-causal-send", &program);
     for (delivery, expect) in ORDERED.into_iter().zip([3, 1]) {
         let trace = generate_trace(&program, &CheckConfig::default());
-        let pairs = overapprox_match_pairs(&program, &trace);
+        let pairs = overapprox_match_pairs(&trace);
         let mut enc = build(&program, &trace, &pairs, delivery, false, false);
         let ids = enc.id_terms();
         let matchings = enc.solver.enumerate_models(&ids, LIMIT).len();

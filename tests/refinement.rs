@@ -3,6 +3,9 @@
 //! Also the differential net for the precise generator's state merging,
 //! its pinned state counts and its deadline fallback.
 
+use driver::report::VerdictKind;
+use driver::runner::{run_portfolio, Mode, PortfolioConfig};
+use driver::scenario::{cross, Engine};
 use mcapi::builder::ProgramBuilder;
 use mcapi::program::Program;
 use mcapi::state::SysState;
@@ -84,7 +87,7 @@ fn overapprox_is_superset_and_cheaper() {
         let cfg = CheckConfig::default();
         let trace = generate_trace(p, &cfg);
         let precise = precise_match_pairs(p, &trace, DeliveryModel::Unordered);
-        let over = overapprox_match_pairs(p, &trace);
+        let over = overapprox_match_pairs(&trace);
         assert!(
             over.contains(&precise),
             "{}: over-approximation must contain the precise set",
@@ -114,7 +117,7 @@ fn precise_state_counts_on_race_and_scatter_are_pinned() {
     for (p, states, pairs) in &table {
         let trace = generate_trace(p, &CheckConfig::default());
         let precise = precise_match_pairs(p, &trace, DeliveryModel::Unordered);
-        let over = overapprox_match_pairs(p, &trace);
+        let over = overapprox_match_pairs(&trace);
         assert_eq!(
             (
                 precise.states_explored,
@@ -386,7 +389,7 @@ fn branchy5_precise_pairs_are_the_endpoint_pairs_in_few_states() {
     let p = branchy(5);
     let trace = generate_trace(&p, &CheckConfig::default());
     let precise = precise_match_pairs(&p, &trace, DeliveryModel::Unordered);
-    let over = overapprox_match_pairs(&p, &trace);
+    let over = overapprox_match_pairs(&trace);
     assert_eq!(precise.sends_for, over.sends_for);
     assert_eq!(precise.num_pairs(), 100);
     assert!(
@@ -451,7 +454,7 @@ fn precise_pairs_past_their_deadline_fall_back_to_endpoint_pairs() {
         ..Default::default()
     };
     let trace = generate_trace(&p, &cfg);
-    let over = overapprox_match_pairs(&p, &trace);
+    let over = overapprox_match_pairs(&trace);
     assert_ne!(
         precise_match_pairs(&p, &trace, DeliveryModel::ZeroDelay).sends_for,
         over.sends_for
@@ -483,7 +486,7 @@ fn zero_budget_precise_checks_end_unknown_and_never_flip() {
             let zero = check_program(
                 p,
                 &CheckConfig {
-                    budget_ms: Some(0),
+                    deadline: Some(Instant::now()),
                     ..cfg
                 },
             )
@@ -500,7 +503,7 @@ fn zero_budget_precise_checks_end_unknown_and_never_flip() {
         &fig1(),
         &CheckConfig {
             matchgen: MatchGen::Precise,
-            budget_ms: Some(0),
+            deadline: Some(Instant::now()),
             ..Default::default()
         },
     );
@@ -509,4 +512,64 @@ fn zero_budget_precise_checks_end_unknown_and_never_flip() {
         "{:?}",
         zero.verdict
     );
+}
+
+/// The whole scale-1 grid through the portfolio under every delivery and
+/// engine, with no budget, a spent one (0 ms) and a 1 ms one: a budget
+/// may only turn a verdict into Unknown, never into another verdict.
+#[test]
+fn tighter_portfolio_budgets_only_move_verdicts_to_unknown() {
+    let scenarios = cross(&default_grid(1), &DeliveryModel::ALL, &Engine::ALL);
+    let run = |budget_ms| {
+        let cfg = PortfolioConfig {
+            threads: 2,
+            mode: Mode::Sweep,
+            budget_ms,
+            ..Default::default()
+        };
+        run_portfolio(&scenarios, &cfg).outcomes
+    };
+    let unbounded = run(None);
+    for budget_ms in [0, 1] {
+        let budgeted = run(Some(budget_ms));
+        assert_eq!(budgeted.len(), unbounded.len());
+        for (b, u) in budgeted.iter().zip(&unbounded) {
+            assert_eq!(b.scenario, u.scenario, "outcome order must be stable");
+            assert!(
+                b.verdict == u.verdict || b.verdict == VerdictKind::Unknown,
+                "{} at {budget_ms} ms: {:?} ({}), unbounded {:?} ({})",
+                b.scenario,
+                b.verdict,
+                b.detail,
+                u.verdict,
+                u.detail
+            );
+        }
+        if budget_ms == 0 {
+            assert!(
+                budgeted.iter().any(|o| o.verdict == VerdictKind::Unknown),
+                "a spent budget must stop some scenario"
+            );
+        }
+    }
+}
+
+/// One deadline bounds match-pair generation too: precise pairs for
+/// race(12) take seconds, but past the deadline the enumeration stops at
+/// once, truncated.
+#[test]
+fn expired_deadline_truncates_precise_enumeration_promptly() {
+    let p = race(12);
+    let trace = generate_trace(&p, &CheckConfig::default());
+    let start = Instant::now();
+    let cfg = CheckConfig {
+        matchgen: MatchGen::Precise,
+        deadline: Some(start),
+        ..Default::default()
+    };
+    let en = enumerate_matchings(&p, &trace, &cfg, 100);
+    let elapsed = start.elapsed();
+    assert!(en.truncated);
+    assert_eq!(en.sat_checks, 0, "no solver check after the deadline");
+    assert!(elapsed < Duration::from_millis(500), "took {elapsed:?}");
 }

@@ -18,7 +18,7 @@ fn encoder_formula_sizes_scale_linearly_in_events() {
         let p = race(n);
         let cfg = CheckConfig::default();
         let trace = generate_trace(&p, &cfg);
-        let pairs = overapprox_match_pairs(&p, &trace);
+        let pairs = overapprox_match_pairs(&trace);
         let enc = encode(
             &p,
             &trace,
@@ -43,7 +43,7 @@ fn precise_and_overapprox_encodings_equisatisfiable_here() {
     let cfg = CheckConfig::default();
     let trace = generate_trace(&p, &cfg);
     let precise = precise_match_pairs(&p, &trace, DeliveryModel::Unordered);
-    let over = overapprox_match_pairs(&p, &trace);
+    let over = overapprox_match_pairs(&trace);
     assert_eq!(precise.sends_for, over.sends_for);
     let count = |pairs| {
         let mut enc = encode(
@@ -73,7 +73,7 @@ fn unsat_instances_from_deterministic_programs() {
     for (p, delivery) in rings.into_iter().chain(pipelines) {
         let cfg = CheckConfig::default();
         let trace = generate_trace(&p, &cfg);
-        let pairs = overapprox_match_pairs(&p, &trace);
+        let pairs = overapprox_match_pairs(&trace);
         let mut enc = encode(
             &p,
             &trace,

@@ -114,7 +114,7 @@ fn witness_event_order_is_causal() {
         panic!("expected violation");
     };
     let order = &cv.witness.event_order;
-    let trace = &report.trace;
+    let trace = &cv.trace;
     let pos_of = |idx: usize| order.iter().position(|&i| i == idx).unwrap();
     // Per-thread monotonicity.
     let mut last: Vec<Option<usize>> = vec![None; 8];
